@@ -138,6 +138,16 @@ Sha256::digest()
     return out;
 }
 
+std::uint64_t
+Sha256::digest64()
+{
+    const std::array<std::uint8_t, 32> d = digest();
+    std::uint64_t v = 0;
+    for (unsigned i = 0; i < 8; ++i)
+        v |= static_cast<std::uint64_t>(d[i]) << (8 * i);
+    return v;
+}
+
 std::string
 Sha256::hexDigest()
 {

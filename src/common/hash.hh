@@ -34,6 +34,13 @@ class Sha256
     /** Finalizes and returns the 32-byte digest. One-shot. */
     std::array<std::uint8_t, 32> digest();
 
+    /**
+     * Finalizes and returns the first 8 digest bytes read as a
+     * little-endian integer: the 64-bit identity hashes of programs
+     * and configurations. One-shot.
+     */
+    std::uint64_t digest64();
+
     /** Finalizes and returns the digest as 64 lowercase hex chars. */
     std::string hexDigest();
 

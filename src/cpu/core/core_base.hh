@@ -38,10 +38,11 @@ class CoreBase : public CpuModel, public OccupancyProbe
      * subsystems. @p who tags this core's memory accesses.
      *
      * @p load_image false skips materializing the program's data
-     * image into architectural memory — only for callers that warp
-     * the model to a complete memory state before running (sampled
-     * replay constructs one model per interval, and the image load is
-     * O(footprint) work the warp would immediately replace).
+     * image into architectural memory — only for callers that
+     * replace the whole memory state before running: sampled replay
+     * warps one model per interval, and a warm-up fork restores a
+     * snapshot. Either way the image load is O(footprint) work that
+     * would immediately be thrown away.
      */
     CoreBase(const isa::Program &prog, const CoreConfig &cfg,
              memory::Initiator who, bool load_image = true);

@@ -42,8 +42,9 @@ const char *cpuKindName(CpuKind k);
  * outlive the model (models hold a reference).
  *
  * @p load_image false constructs the model with empty architectural
- * memory — strictly for callers that warpArchState() a complete
- * memory image in before running (see CoreBase's constructor doc).
+ * memory — strictly for callers that replace memory wholesale before
+ * running, by warpArchState() or by restoring a snapshot (see
+ * CoreBase's constructor doc).
  */
 std::unique_ptr<CpuModel> makeModel(CpuKind kind,
                                     const isa::Program &prog,

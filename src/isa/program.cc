@@ -1,9 +1,12 @@
 #include "isa/program.hh"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 #include <sstream>
+#include <type_traits>
 
+#include "common/hash.hh"
 #include "common/logging.hh"
 
 namespace ff
@@ -109,10 +112,56 @@ DataImage::read(Addr addr) const
     return it == _pages.end() ? 0 : it->second[addr % kPageBytes];
 }
 
+static_assert(std::is_nothrow_move_constructible_v<Program> &&
+              std::is_nothrow_move_assignable_v<Program>);
+
+Program::ContentMemo &
+Program::ContentMemo::operator=(const ContentMemo &o) noexcept
+{
+    const bool r = o.ready.load();
+    if (r)
+        value = o.value;
+    ready.store(r);
+    return *this;
+}
+
+std::uint64_t
+Program::contentHash() const
+{
+    if (_content.ready.load())
+        return _content.value;
+    std::lock_guard<std::mutex> lk(_content.mu);
+    if (!_content.ready.load()) {
+        // Fed straight from the pages; the u64 fields go in
+        // little-endian, as serial::Writer lays them out, so the
+        // digest matches existing cache entries and snapshots.
+        Sha256 h;
+        auto put64 = [&h](std::uint64_t v) {
+            std::array<std::uint8_t, 8> le{};
+            for (unsigned i = 0; i < 8; ++i)
+                le[i] = static_cast<std::uint8_t>(v >> (8 * i));
+            h.update(le.data(), le.size());
+        };
+        put64(_instHash);
+        for (const auto &[base, bytes] : _data.pages()) {
+            put64(base);
+            put64(bytes.size());
+            h.update(bytes.data(), bytes.size());
+        }
+        _content.value = h.digest64();
+        _content.ready.store(true);
+    }
+    return _content.value;
+}
+
 void
 Program::pokeBytes(Addr addr, const void *bytes, std::size_t len)
 {
     _data.write(addr, bytes, len);
+    // Loaded first: builders poke word by word before any hash, and
+    // the check keeps that loop free of atomic stores.
+    if (_content.ready.load())
+        _content.ready.store(false);
 }
 
 void

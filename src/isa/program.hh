@@ -8,8 +8,10 @@
 #ifndef FF_ISA_PROGRAM_HH
 #define FF_ISA_PROGRAM_HH
 
+#include <atomic>
 #include <cstdint>
 #include <map>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -121,6 +123,18 @@ class Program
      */
     std::uint64_t instStreamHash() const { return _instHash; }
 
+    /**
+     * Content digest of the whole program image: SHA-256 over
+     * instStreamHash() and then every data page (base, size, bytes)
+     * in address order, read as the first 8 digest bytes
+     * little-endian. Results depend on data as well as code, so this
+     * is the identity the result cache, snapshots and pipe traces
+     * key on. Computed on the first call, not at construction, and
+     * memoized; concurrent first calls on a shared const Program
+     * compute it once. Every poke*() drops the memo.
+     */
+    std::uint64_t contentHash() const;
+
     /** Fetch-time byte address of instruction @p i. */
     static Addr instAddr(InstIdx i)
     {
@@ -155,6 +169,23 @@ class Program
     std::string validate(const GroupLimits &limits = GroupLimits()) const;
 
   private:
+    /**
+     * contentHash()'s memo. A copy takes a computed digest along
+     * with the image it describes, never the lock. Copying is
+     * noexcept so Program's implicit move stays noexcept, and a
+     * growing vector of programs moves their images, not copies them.
+     */
+    struct ContentMemo
+    {
+        ContentMemo() = default;
+        ContentMemo(const ContentMemo &o) noexcept { *this = o; }
+        ContentMemo &operator=(const ContentMemo &o) noexcept;
+
+        std::mutex mu;
+        std::atomic<bool> ready{false};
+        std::uint64_t value = 0;
+    };
+
     void rebuildGroups();
 
     std::string _name;
@@ -163,6 +194,7 @@ class Program
     std::vector<InstIdx> _groupEnd;
     std::uint64_t _instHash = 0;
     DataImage _data;
+    mutable ContentMemo _content;
 };
 
 } // namespace isa

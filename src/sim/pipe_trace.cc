@@ -38,7 +38,7 @@ buildPipeTrace(const isa::Program &prog, const cpu::CoreConfig &cfg,
 {
     PipeTrace t;
     t.kind = kind;
-    t.programHash = programContentHash(prog);
+    t.programHash = prog.contentHash();
     t.configHash = canonicalConfigHash(cfg);
     t.programName = program_name;
     t.cycles = cycles;

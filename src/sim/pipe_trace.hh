@@ -39,7 +39,7 @@ inline constexpr std::uint32_t kPipeTraceFormatVersion = 1;
 struct PipeTrace
 {
     CpuKind kind = CpuKind::kTwoPass; ///< model that produced it
-    std::uint64_t programHash = 0;    ///< programContentHash()
+    std::uint64_t programHash = 0;    ///< isa::Program::contentHash()
     std::uint64_t configHash = 0;     ///< canonicalConfigHash()
     std::string programName;          ///< display name of the program
     std::uint64_t cycles = 0;         ///< run length in cycles

@@ -269,7 +269,7 @@ resultCacheKey(const isa::Program &prog, CpuKind kind,
     w.u32(kResultCacheVersion);
     w.u32(kSnapshotFormatVersion);
     w.u8(static_cast<std::uint8_t>(kind));
-    w.u64(programContentHash(prog));
+    w.u64(prog.contentHash());
     canonicalizeConfig(cfg, w);
     w.u64(max_cycles);
     // Normalized, so equivalent sampling spellings share an address;

@@ -18,17 +18,6 @@ namespace
 /** Container magic: "FSNP" (flea-flicker snapshot). */
 constexpr std::uint32_t kSnapshotMagic = serial::tag("FSNP");
 
-/** First 8 digest bytes as a little-endian 64-bit guard hash. */
-std::uint64_t
-digest64(Sha256 &h)
-{
-    const std::array<std::uint8_t, 32> d = h.digest();
-    std::uint64_t v = 0;
-    for (unsigned i = 0; i < 8; ++i)
-        v |= static_cast<std::uint64_t>(d[i]) << (8 * i);
-    return v;
-}
-
 } // namespace
 
 void
@@ -81,25 +70,7 @@ canonicalConfigHash(const cpu::CoreConfig &cfg)
     canonicalizeConfig(cfg, w);
     Sha256 h;
     h.update(w.buffer().data(), w.buffer().size());
-    return digest64(h);
-}
-
-std::uint64_t
-programContentHash(const isa::Program &prog)
-{
-    serial::Writer w;
-    w.u64(prog.instStreamHash());
-    // instStreamHash() covers code only; results also depend on the
-    // initial data image, so fold the pages in (std::map iterates in
-    // address order — deterministic).
-    for (const auto &[base, bytes] : prog.dataImage().pages()) {
-        w.u64(base);
-        w.u64(bytes.size());
-        w.bytes(bytes.data(), bytes.size());
-    }
-    Sha256 h;
-    h.update(w.buffer().data(), w.buffer().size());
-    return digest64(h);
+    return h.digest64();
 }
 
 Snapshot
@@ -111,7 +82,7 @@ saveSnapshot(const cpu::CpuModel &model, CpuKind kind,
     Snapshot snap;
     snap.kind = kind;
     snap.cycle = model.currentCycle();
-    snap.programHash = programContentHash(prog);
+    snap.programHash = prog.contentHash();
     snap.configHash = canonicalConfigHash(cfg);
     serial::Writer w;
     model.saveState(w);
@@ -129,7 +100,7 @@ restoreSnapshot(cpu::CpuModel &model, const Snapshot &snap,
     ff_fatal_if(snap.kind != kind, "snapshot of model ",
                 cpuKindName(snap.kind), " cannot restore a ",
                 cpuKindName(kind), " model");
-    ff_fatal_if(snap.programHash != programContentHash(prog),
+    ff_fatal_if(snap.programHash != prog.contentHash(),
                 "snapshot belongs to a different program than '",
                 prog.name(), "'");
     ff_fatal_if(snap.configHash != canonicalConfigHash(cfg),
@@ -270,8 +241,10 @@ resumeSnapshot(const isa::Program &prog, CpuKind kind,
                 "); the budget counts total simulated cycles, not "
                 "cycles after the fork");
     verifyProgram(prog, cfg.limits);
+    // restoreSnapshot() replaces memory wholesale, so loading the
+    // data image first would only copy it to throw it away.
     const std::unique_ptr<cpu::CpuModel> model =
-        cpu::makeModel(kind, prog, cfg);
+        cpu::makeModel(kind, prog, cfg, /*load_image=*/false);
     restoreSnapshot(*model, snap, kind, prog, cfg);
 
     const cpu::RunResult run = model->run(max_cycles);

@@ -40,7 +40,7 @@ struct Snapshot
 {
     CpuKind kind = CpuKind::kBaseline; ///< model the state belongs to
     std::uint64_t cycle = 0;        ///< resume point
-    std::uint64_t programHash = 0;  ///< programContentHash()
+    std::uint64_t programHash = 0;  ///< isa::Program::contentHash()
     std::uint64_t configHash = 0;   ///< canonicalConfigHash()
     std::vector<std::uint8_t> state; ///< CpuModel::saveState bytes
 };
@@ -57,13 +57,6 @@ void canonicalizeConfig(const cpu::CoreConfig &cfg, serial::Writer &w);
 
 /** 64-bit digest of canonicalizeConfig() for snapshot guards. */
 std::uint64_t canonicalConfigHash(const cpu::CoreConfig &cfg);
-
-/**
- * Content hash of the full program image: the instruction stream
- * hash plus the initial data image. Program::instStreamHash() alone
- * deliberately ignores data, but simulation results depend on it.
- */
-std::uint64_t programContentHash(const isa::Program &prog);
 
 /**
  * Captures @p model (which must advertise supportsSnapshot()) into a

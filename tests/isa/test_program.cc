@@ -75,6 +75,53 @@ TEST(Program, DataImageCrossPageWrite)
     EXPECT_EQ(p.dataImage().pages().size(), 2u);
 }
 
+/** tinyValid() with data on three pages, one poke crossing a page. */
+Program
+tinyWithData()
+{
+    Program p = tinyValid();
+    p.poke64(0x1000, 0x1122334455667788ULL);
+    p.poke32(0x2000, 0xAABBCCDDu);
+    p.poke64(DataImage::kPageBytes - 4, 0x0807060504030201ULL);
+    return p;
+}
+
+TEST(Program, ContentHashIsPinned)
+{
+    // Result-cache keys and FSNP/FFPT program identities embed this
+    // digest; changing it orphans every stored entry and snapshot, so
+    // it may only change deliberately.
+    EXPECT_EQ(tinyValid().contentHash(), 0xc5e4e09211e5da76ULL);
+    EXPECT_EQ(tinyWithData().contentHash(), 0x107f2879dd97f7efULL);
+}
+
+TEST(Program, ContentHashFollowsInPlacePokes)
+{
+    // Hash first, then poke the same object: every poke must drop the
+    // memoized digest.
+    Program p = tinyValid();
+    const std::uint64_t before = p.contentHash();
+    const Program hashed_copy = p; // carries the memo along
+
+    p.poke64(0x1000, 0x1122334455667788ULL);
+    const std::uint64_t one = p.contentHash();
+    EXPECT_NE(one, before);
+    p.poke32(0x2000, 0xAABBCCDDu);
+    const std::uint64_t two = p.contentHash();
+    EXPECT_NE(two, one);
+    p.poke64(DataImage::kPageBytes - 4, 0x0807060504030201ULL);
+    EXPECT_NE(p.contentHash(), two);
+    EXPECT_EQ(p.contentHash(), tinyWithData().contentHash());
+    p.pokeDouble(0x3000, 1.5);
+    Program fresh = tinyWithData();
+    fresh.pokeDouble(0x3000, 1.5);
+    EXPECT_EQ(p.contentHash(), fresh.contentHash());
+
+    // The copy still describes its own, unpoked image.
+    EXPECT_EQ(hashed_copy.contentHash(), before);
+    EXPECT_EQ(hashed_copy.contentHash(), tinyValid().contentHash());
+}
+
 TEST(Program, SequentializeFlattensGroups)
 {
     ProgramBuilder b("seq", /*auto_stop=*/false);

@@ -8,11 +8,15 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "common/thread_pool.hh"
 #include "isa/assembler.hh"
 #include "sim/batch.hh"
 #include "sim/harness.hh"
@@ -287,6 +291,36 @@ TEST_F(ResultCacheTest, ForkedSweepUsesAndFillsTheCache)
         SCOPED_TRACE(i);
         expectSameOutcome(cold[i], warm[i]);
     }
+}
+
+TEST_F(ResultCacheTest, ConcurrentFirstKeysMatchTheSerialKey)
+{
+    // Every worker of a sweep keys the same const Program, so the
+    // first contentHash() call on it races unless the memo is safe.
+    const cpu::CoreConfig cfg = sim::table1Config();
+    const isa::Program fresh =
+        workloads::buildWorkload("181.mcf", kScale).program;
+    const isa::Program copy = fresh; // never hashed either
+    const std::string serial = sim::resultCacheKey(
+        copy, sim::CpuKind::kTwoPass, cfg, sim::kDefaultMaxCycles);
+
+    ThreadPool pool(4);
+    std::vector<std::string> keys(2 * pool.threadCount());
+    std::atomic<bool> go{false};
+    std::vector<std::future<void>> done;
+    for (std::string &key : keys) {
+        done.push_back(pool.submit([&] {
+            while (!go.load())
+                std::this_thread::yield();
+            key = sim::resultCacheKey(fresh, sim::CpuKind::kTwoPass,
+                                      cfg, sim::kDefaultMaxCycles);
+        }));
+    }
+    go = true;
+    for (std::future<void> &f : done)
+        f.get();
+    for (const std::string &key : keys)
+        EXPECT_EQ(key, serial);
 }
 
 // --- verification cache ---------------------------------------------

@@ -259,7 +259,7 @@ TEST(Snapshot, ProgramContentHashCoversDataImage)
     // memo may treat them alike, but snapshots and cache keys must
     // not.
     EXPECT_EQ(a.instStreamHash(), b.instStreamHash());
-    EXPECT_NE(sim::programContentHash(a), sim::programContentHash(b));
+    EXPECT_NE(a.contentHash(), b.contentHash());
 }
 
 TEST(SnapshotDeathTest, RestoreRejectsMismatchedIdentity)
