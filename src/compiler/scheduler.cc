@@ -207,10 +207,8 @@ schedule(const Program &sequential, const SchedulerConfig &cfg)
         }
     }
 
-    Program result(sequential.name(), std::move(out));
-    // Carry the data image over.
-    for (const auto &[base, page] : sequential.dataImage().pages())
-        result.pokeBytes(base, page.data(), page.size());
+    Program result(sequential.name(), std::move(out),
+                   sequential.dataImage());
 
     err = result.validate(cfg.limits);
     ff_panic_if(!err.empty(), "scheduler produced invalid program '",

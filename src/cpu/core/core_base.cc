@@ -21,7 +21,7 @@ CoreBase::CoreBase(const isa::Program &prog, const CoreConfig &cfg,
     ff_fatal_if(!err.empty(), "invalid program '", prog.name(), "': ",
                 err);
     if (load_image)
-        _mem.loadPages(prog.dataImage().pages());
+        _mem = prog.dataImage();
 }
 
 void
@@ -66,7 +66,8 @@ CoreBase::restoreState(serial::Reader &r)
 
     if (!r.section(serial::tag("SMEM")))
         return;
-    _mem.restore(r);
+    // Pages the run has not changed since the image re-share it.
+    _mem.restore(r, &_prog.dataImage());
     if (!r.section(serial::tag("HIER")))
         return;
     _hier.restore(r);

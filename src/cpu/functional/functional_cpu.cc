@@ -8,12 +8,12 @@ namespace ff
 namespace cpu
 {
 
-FunctionalCpu::FunctionalCpu(const isa::Program &prog) : _prog(prog)
+FunctionalCpu::FunctionalCpu(const isa::Program &prog)
+    : _prog(prog), _mem(prog.dataImage())
 {
     const std::string err = prog.validate();
     ff_fatal_if(!err.empty(), "invalid program '", prog.name(), "': ",
                 err);
-    _mem.loadPages(prog.dataImage().pages());
 }
 
 FunctionalCpu::Result

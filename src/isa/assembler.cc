@@ -201,7 +201,7 @@ assemble(const std::string &source, const std::string &name,
     std::vector<Instruction> insts;
     std::map<std::string, InstIdx> labels;
     std::vector<PendingBranch> branches;
-    Program scratch; // collects .poke directives
+    memory::SparseMemory image; // collects .poke directives
 
     std::istringstream in(source);
     std::string raw;
@@ -232,14 +232,14 @@ assemble(const std::string &source, const std::string &name,
                 std::int64_t v = 0;
                 if (!s.integer(&v))
                     return err("expected value after .poke64");
-                scratch.poke64(static_cast<Addr>(addr),
-                               static_cast<std::uint64_t>(v));
+                image.write64(static_cast<Addr>(addr),
+                              static_cast<std::uint64_t>(v));
             } else if (dir == ".poke32") {
                 std::int64_t v = 0;
                 if (!s.integer(&v))
                     return err("expected value after .poke32");
-                scratch.poke32(static_cast<Addr>(addr),
-                               static_cast<std::uint32_t>(v));
+                image.write32(static_cast<Addr>(addr),
+                              static_cast<std::uint32_t>(v));
             } else if (dir == ".pokedouble") {
                 s.skipSpace();
                 char *end = nullptr;
@@ -247,7 +247,8 @@ assemble(const std::string &source, const std::string &name,
                 const double d = std::strtod(tail.c_str(), &end);
                 if (end == tail.c_str())
                     return err("expected value after .pokedouble");
-                scratch.pokeDouble(static_cast<Addr>(addr), d);
+                image.writeBytes(static_cast<Addr>(addr), &d,
+                                 sizeof(d));
             } else {
                 return err("unknown directive " + dir);
             }
@@ -410,10 +411,7 @@ assemble(const std::string &source, const std::string &name,
         insts[b.idx].imm = static_cast<std::int64_t>(it->second);
     }
 
-    Program prog(name, std::move(insts));
-    for (const auto &[base, page] : scratch.dataImage().pages())
-        prog.pokeBytes(base, page.data(), page.size());
-    *out = std::move(prog);
+    *out = Program(name, std::move(insts), std::move(image));
     return "";
 }
 
@@ -460,18 +458,20 @@ toAssembly(const Program &prog)
         oss << '\n';
     }
     // Data image as directives (64-bit words; zero words elided).
-    for (const auto &[base, page] : prog.dataImage().pages()) {
-        for (std::size_t off = 0; off + 8 <= page.size(); off += 8) {
-            std::uint64_t v = 0;
-            for (unsigned b = 0; b < 8; ++b)
-                v |= static_cast<std::uint64_t>(page[off + b])
-                     << (8 * b);
-            if (v != 0) {
-                oss << ".poke64 0x" << std::hex << (base + off)
-                    << " 0x" << v << std::dec << '\n';
+    prog.dataImage().forEachPage(
+        [&oss](Addr base, const std::uint8_t *page) {
+            for (Addr off = 0; off < memory::SparseMemory::kPageBytes;
+                 off += 8) {
+                std::uint64_t v = 0;
+                for (unsigned b = 0; b < 8; ++b)
+                    v |= static_cast<std::uint64_t>(page[off + b])
+                         << (8 * b);
+                if (v != 0) {
+                    oss << ".poke64 0x" << std::hex << (base + off)
+                        << " 0x" << v << std::dec << '\n';
+                }
             }
-        }
-    }
+        });
     return oss.str();
 }
 

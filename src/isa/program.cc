@@ -20,14 +20,13 @@ sequentialize(const Program &prog)
     std::vector<Instruction> insts = prog.insts();
     for (Instruction &in : insts)
         in.stop = true;
-    Program out(prog.name(), std::move(insts));
-    for (const auto &[base, page] : prog.dataImage().pages())
-        out.pokeBytes(base, page.data(), page.size());
-    return out;
+    return Program(prog.name(), std::move(insts), prog.dataImage());
 }
 
-Program::Program(std::string name, std::vector<Instruction> insts)
-    : _name(std::move(name)), _insts(std::move(insts))
+Program::Program(std::string name, std::vector<Instruction> insts,
+                 memory::SparseMemory image)
+    : _name(std::move(name)), _insts(std::move(insts)),
+      _data(std::move(image))
 {
     rebuildGroups();
 }
@@ -84,34 +83,6 @@ Program::rebuildGroups()
     _instHash = h;
 }
 
-void
-DataImage::write(Addr addr, const void *bytes, std::size_t len)
-{
-    const auto *p = static_cast<const std::uint8_t *>(bytes);
-    std::size_t done = 0;
-    while (done < len) {
-        const Addr a = addr + done;
-        const Addr page_base = a - (a % kPageBytes);
-        auto [it, inserted] = _pages.try_emplace(page_base);
-        if (inserted)
-            it->second.assign(kPageBytes, 0);
-        const std::size_t off = a % kPageBytes;
-        const std::size_t chunk =
-            std::min(len - done, static_cast<std::size_t>(kPageBytes) -
-                                     off);
-        std::memcpy(it->second.data() + off, p + done, chunk);
-        done += chunk;
-    }
-}
-
-std::uint8_t
-DataImage::read(Addr addr) const
-{
-    const Addr page_base = addr - (addr % kPageBytes);
-    auto it = _pages.find(page_base);
-    return it == _pages.end() ? 0 : it->second[addr % kPageBytes];
-}
-
 static_assert(std::is_nothrow_move_constructible_v<Program> &&
               std::is_nothrow_move_assignable_v<Program>);
 
@@ -143,11 +114,11 @@ Program::contentHash() const
             h.update(le.data(), le.size());
         };
         put64(_instHash);
-        for (const auto &[base, bytes] : _data.pages()) {
+        _data.forEachPage([&](Addr base, const std::uint8_t *bytes) {
             put64(base);
-            put64(bytes.size());
-            h.update(bytes.data(), bytes.size());
-        }
+            put64(memory::SparseMemory::kPageBytes);
+            h.update(bytes, memory::SparseMemory::kPageBytes);
+        });
         _content.value = h.digest64();
         _content.ready.store(true);
     }
@@ -155,9 +126,8 @@ Program::contentHash() const
 }
 
 void
-Program::pokeBytes(Addr addr, const void *bytes, std::size_t len)
+Program::dropContentMemo()
 {
-    _data.write(addr, bytes, len);
     // Loaded first: builders poke word by word before any hash, and
     // the check keeps that loop free of atomic stores.
     if (_content.ready.load())
@@ -165,21 +135,32 @@ Program::pokeBytes(Addr addr, const void *bytes, std::size_t len)
 }
 
 void
+Program::pokeBytes(Addr addr, const void *bytes, std::size_t len)
+{
+    _data.writeBytes(addr, bytes, len);
+    dropContentMemo();
+}
+
+void
 Program::poke64(Addr addr, std::uint64_t value)
 {
-    pokeBytes(addr, &value, sizeof(value));
+    _data.write64(addr, value);
+    dropContentMemo();
 }
 
 void
 Program::poke32(Addr addr, std::uint32_t value)
 {
-    pokeBytes(addr, &value, sizeof(value));
+    _data.write32(addr, value);
+    dropContentMemo();
 }
 
 void
 Program::pokeDouble(Addr addr, double value)
 {
-    pokeBytes(addr, &value, sizeof(value));
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &value, sizeof(bits));
+    poke64(addr, bits);
 }
 
 namespace

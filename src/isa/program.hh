@@ -10,43 +10,17 @@
 
 #include <atomic>
 #include <cstdint>
-#include <map>
 #include <mutex>
 #include <string>
 #include <vector>
 
 #include "isa/instruction.hh"
+#include "memory/sparse_memory.hh"
 
 namespace ff
 {
 namespace isa
 {
-
-/**
- * Page-based sparse initial-memory image. Pages are 4 KiB and
- * zero-filled on first touch, so initializing megabytes of workload
- * data stays cheap.
- */
-class DataImage
-{
-  public:
-    static constexpr Addr kPageBytes = 4096;
-
-    /** Writes raw bytes at @p addr. */
-    void write(Addr addr, const void *bytes, std::size_t len);
-
-    /** Reads one byte (zero if untouched); for tests. */
-    std::uint8_t read(Addr addr) const;
-
-    /** Page-base -> page-content map (pages are kPageBytes long). */
-    const std::map<Addr, std::vector<std::uint8_t>> &pages() const
-    {
-        return _pages;
-    }
-
-  private:
-    std::map<Addr, std::vector<std::uint8_t>> _pages;
-};
 
 class Program;
 
@@ -85,7 +59,12 @@ class Program
     static constexpr Addr kTextBase = 0x4000'0000;
 
     Program() = default;
-    Program(std::string name, std::vector<Instruction> insts);
+    /**
+     * @p image is the initial data image; a copy of another
+     * program's image shares its pages until either side writes.
+     */
+    Program(std::string name, std::vector<Instruction> insts,
+            memory::SparseMemory image = {});
 
     const std::string &name() const { return _name; }
     void setName(std::string n) { _name = std::move(n); }
@@ -153,8 +132,11 @@ class Program
     /** Convenience: poke an IEEE double. */
     void pokeDouble(Addr addr, double value);
 
-    /** The initial data image. */
-    const DataImage &dataImage() const { return _data; }
+    /**
+     * The initial data image. Models and the functional reference
+     * start from a copy of it, which shares its pages copy-on-write.
+     */
+    const memory::SparseMemory &dataImage() const { return _data; }
 
     /**
      * Structural validation: stop bit on the final instruction,
@@ -187,13 +169,14 @@ class Program
     };
 
     void rebuildGroups();
+    void dropContentMemo();
 
     std::string _name;
     std::vector<Instruction> _insts;
     std::vector<InstIdx> _groupStart;
     std::vector<InstIdx> _groupEnd;
     std::uint64_t _instHash = 0;
-    DataImage _data;
+    memory::SparseMemory _data;
     mutable ContentMemo _content;
 };
 

@@ -1,6 +1,7 @@
 #include "memory/sparse_memory.hh"
 
 #include <algorithm>
+#include <cstring>
 #include <vector>
 
 #include "common/logging.hh"
@@ -23,11 +24,13 @@ SparseMemory::pageFor(Addr a)
     std::shared_ptr<Page> &slot = _pages[a / kPageBytes];
     if (slot == nullptr) {
         slot = std::make_shared<Page>();
-        slot->fill(0);
     } else if (slot.use_count() > 1) {
-        // Copy-on-write: the page is shared with a checkpoint or
-        // another machine's copy; clone before mutating.
-        slot = std::make_shared<Page>(*slot);
+        // Copy-on-write: the page is shared with the program image, a
+        // checkpoint or another machine's copy; clone before mutating.
+        slot = std::make_shared<Page>(slot->bytes);
+    } else {
+        // Unshared, so no other thread can be reading the memo.
+        slot->memoValid.store(false, std::memory_order_relaxed);
     }
     return *slot;
 }
@@ -36,13 +39,13 @@ std::uint8_t
 SparseMemory::readByte(Addr a) const
 {
     const Page *p = findPage(a);
-    return p ? (*p)[a % kPageBytes] : 0;
+    return p ? p->bytes[a % kPageBytes] : 0;
 }
 
 void
 SparseMemory::writeByte(Addr a, std::uint8_t v)
 {
-    pageFor(a)[a % kPageBytes] = v;
+    pageFor(a).bytes[a % kPageBytes] = v;
 }
 
 std::uint64_t
@@ -56,7 +59,7 @@ SparseMemory::read(Addr a, unsigned size) const
         const Page *p = findPage(a);
         if (p == nullptr)
             return 0;
-        const std::uint8_t *b = p->data() + a % kPageBytes;
+        const std::uint8_t *b = p->bytes.data() + a % kPageBytes;
         std::uint64_t v = 0;
         for (unsigned i = 0; i < size; ++i)
             v |= static_cast<std::uint64_t>(b[i]) << (8 * i);
@@ -73,7 +76,7 @@ SparseMemory::write(Addr a, std::uint64_t v, unsigned size)
 {
     ff_panic_if(size > 8, "oversized memory write");
     if (size > 0 && a / kPageBytes == (a + size - 1) / kPageBytes) {
-        std::uint8_t *b = &pageFor(a)[a % kPageBytes];
+        std::uint8_t *b = &pageFor(a).bytes[a % kPageBytes];
         for (unsigned i = 0; i < size; ++i)
             b[i] = static_cast<std::uint8_t>(v >> (8 * i));
         return;
@@ -83,77 +86,99 @@ SparseMemory::write(Addr a, std::uint64_t v, unsigned size)
 }
 
 void
-SparseMemory::loadPages(
-    const std::map<Addr, std::vector<std::uint8_t>> &pages)
+SparseMemory::writeBytes(Addr a, const void *src, std::size_t len)
 {
-    for (const auto &[base, bytes] : pages) {
-        std::size_t i = 0;
-        while (i < bytes.size()) {
-            Page &p = pageFor(base + i);
-            const std::size_t off = (base + i) % kPageBytes;
-            const std::size_t chunk =
-                std::min(bytes.size() - i, kPageBytes - off);
-            std::copy(bytes.begin() + static_cast<std::ptrdiff_t>(i),
-                      bytes.begin() +
-                          static_cast<std::ptrdiff_t>(i + chunk),
-                      p.begin() + static_cast<std::ptrdiff_t>(off));
-            i += chunk;
-        }
+    const auto *p = static_cast<const std::uint8_t *>(src);
+    while (len > 0) {
+        const std::size_t off = a % kPageBytes;
+        const std::size_t chunk = std::min(len, kPageBytes - off);
+        std::memcpy(pageFor(a).bytes.data() + off, p, chunk);
+        a += chunk;
+        p += chunk;
+        len -= chunk;
     }
 }
 
-void
-SparseMemory::save(serial::Writer &w) const
+std::vector<Addr>
+SparseMemory::sortedPageNumbers() const
 {
     std::vector<Addr> page_nos;
     page_nos.reserve(_pages.size());
     for (const auto &[page_no, page] : _pages)
         page_nos.push_back(page_no);
     std::sort(page_nos.begin(), page_nos.end());
-
-    w.u64(page_nos.size());
-    for (const Addr page_no : page_nos) {
-        w.u64(page_no);
-        w.bytes(_pages.at(page_no)->data(), kPageBytes);
-    }
+    return page_nos;
 }
 
 void
-SparseMemory::restore(serial::Reader &r)
+SparseMemory::save(serial::Writer &w) const
+{
+    w.u64(_pages.size());
+    forEachPage([&w](Addr base, const std::uint8_t *bytes) {
+        w.u64(base / kPageBytes);
+        w.bytes(bytes, kPageBytes);
+    });
+}
+
+void
+SparseMemory::restore(serial::Reader &r, const SparseMemory *share)
 {
     _pages.clear();
     const std::size_t n = r.seq(8 + kPageBytes);
+    _pages.reserve(n);
+    constexpr Addr kMaxPageNo = ~Addr{0} / kPageBytes;
+    Bytes buf;
+    Addr prev = 0;
     for (std::size_t i = 0; i < n; ++i) {
         const Addr page_no = r.u64();
-        auto p = std::make_shared<Page>();
-        r.bytes(p->data(), kPageBytes);
-        _pages[page_no] = std::move(p);
+        // save() writes strictly increasing page numbers; anything
+        // else (a duplicate would silently replace a page) is corrupt.
+        if (page_no > kMaxPageNo || (i > 0 && page_no <= prev)) {
+            r.fail();
+            return;
+        }
+        prev = page_no;
+        r.bytes(buf.data(), kPageBytes);
+        if (!r.ok())
+            return;
+        std::shared_ptr<Page> &slot = _pages[page_no];
+        if (share != nullptr) {
+            const auto it = share->_pages.find(page_no);
+            if (it != share->_pages.end() && it->second->bytes == buf)
+                slot = it->second;
+        }
+        if (slot == nullptr)
+            slot = std::make_shared<Page>(buf);
     }
+}
+
+std::uint64_t
+SparseMemory::Page::term(Addr page_no) const
+{
+    if (memoValid.load(std::memory_order_acquire))
+        return memo.load(std::memory_order_relaxed);
+    std::uint64_t h = 0;
+    if (std::any_of(bytes.begin(), bytes.end(),
+                    [](std::uint8_t b) { return b != 0; })) {
+        h = 1469598103934665603ULL ^ page_no;
+        for (const std::uint8_t b : bytes) {
+            h ^= b;
+            h *= 1099511628211ULL;
+        }
+    }
+    // Sharers racing here compute and store the same value.
+    memo.store(h, std::memory_order_relaxed);
+    memoValid.store(true, std::memory_order_release);
+    return h;
 }
 
 std::uint64_t
 SparseMemory::fingerprint() const
 {
-    // Hash each non-zero page independently, then combine with
-    // addition so iteration order doesn't matter.
+    // Summed, so iteration order doesn't matter.
     std::uint64_t total = 0;
-    for (const auto &[page_no, page] : _pages) {
-        bool all_zero = true;
-        for (std::uint8_t b : *page) {
-            if (b != 0) {
-                all_zero = false;
-                break;
-            }
-        }
-        if (all_zero)
-            continue;
-        std::uint64_t h = 1469598103934665603ULL ^ page_no;
-        for (std::uint8_t b : *page) {
-            h ^= b;
-            h *= 1099511628211ULL;
-        }
-        total += h;
-    }
+    for (const auto &[page_no, page] : _pages)
+        total += page->term(page_no);
     return total;
 }
 

@@ -11,8 +11,9 @@
 #define FF_MEMORY_SPARSE_MEMORY_HH
 
 #include <array>
+#include <atomic>
+#include <cstddef>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -32,16 +33,20 @@ namespace memory
  * SparseMemory duplicates only the page table, and the first store to
  * a shared page clones that one page. Value semantics are unchanged —
  * a copy never observes the original's later writes — but copies cost
- * O(touched pages) pointer bumps instead of O(footprint) bytes. The
- * sampled-simulation machinery leans on this: checkpoints are full
- * memory images taken every few thousand instructions, and each
- * detailed replay warps a fresh model to one of them.
+ * O(touched pages) pointer bumps instead of O(footprint) bytes. This
+ * is also the program image's format (isa::Program::dataImage()), so
+ * every model and the functional reference start from a page-table
+ * copy of it, and sampled checkpoints are full memory images taken
+ * every few thousand instructions at the same cost.
+ *
+ * Each page memoizes its fingerprint() term, so a fingerprint rehashes
+ * only the pages written since the last one. A page object is mapped
+ * at one page number only, because its term mixes that number in.
  */
 class SparseMemory
 {
   public:
     static constexpr Addr kPageBytes = 4096;
-    using Page = std::array<std::uint8_t, kPageBytes>;
 
     SparseMemory() = default;
 
@@ -60,31 +65,70 @@ class SparseMemory
     void write64(Addr a, std::uint64_t v) { write(a, v, 8); }
     void write32(Addr a, std::uint32_t v) { write(a, v, 4); }
 
-    /** Loads an initial data image (page-base -> page-bytes map). */
-    void
-    loadPages(const std::map<Addr, std::vector<std::uint8_t>> &pages);
+    /** Copies @p len raw bytes from @p src to addresses @p a onward. */
+    void writeBytes(Addr a, const void *src, std::size_t len);
 
     /**
-     * Order-insensitive FNV-1a digest of all touched pages; used by
-     * tests to compare final memory states across CPU models.
-     * Trailing all-zero pages hash identically to untouched ones.
+     * Order-insensitive digest of the contents: the sum over touched
+     * pages of an FNV-1a hash of the page's bytes seeded with its page
+     * number, all-zero pages adding nothing (so they hash like
+     * untouched ones). Every outcome's memFingerprint, the functional
+     * reference's and stored FFRC result-cache entries hold it, so its
+     * definition is frozen. Each page's term is memoized on the page,
+     * filled on first use (sharers on other threads may fill it at the
+     * same time) and cleared by every write to the page.
      */
     std::uint64_t fingerprint() const;
 
     std::size_t touchedPages() const { return _pages.size(); }
 
     /**
-     * Snapshot hooks. Pages are written sorted by base address so the
+     * Calls @p fn(base, bytes) for every touched page in ascending
+     * address order; @p bytes points at the page's kPageBytes bytes.
+     */
+    template <typename Fn>
+    void
+    forEachPage(Fn &&fn) const
+    {
+        for (const Addr page_no : sortedPageNumbers())
+            fn(page_no * kPageBytes, _pages.at(page_no)->bytes.data());
+    }
+
+    /**
+     * Snapshot hooks. Pages are written sorted by page number so the
      * encoded bytes are deterministic; restore() replaces the entire
-     * contents.
+     * contents and fails @p r unless the page numbers strictly
+     * increase and every page's base address fits in 64 bits. A
+     * restored page whose bytes equal @p share's page at the same
+     * number reuses that page (copy-on-write) instead of a new copy.
      */
     void save(serial::Writer &w) const;
-    void restore(serial::Reader &r);
+    void restore(serial::Reader &r, const SparseMemory *share = nullptr);
 
   private:
+    using Bytes = std::array<std::uint8_t, kPageBytes>;
+
+    /** One page; its memo starts empty, so clones copy bytes only. */
+    struct Page
+    {
+        Page() { bytes.fill(0); }
+        explicit Page(const Bytes &b) : bytes(b) {}
+
+        /** fingerprint()'s term for this page at @p page_no. */
+        std::uint64_t term(Addr page_no) const;
+
+        Bytes bytes;
+        mutable std::atomic<std::uint64_t> memo{0};
+        mutable std::atomic<bool> memoValid{false};
+    };
+
     const Page *findPage(Addr a) const;
-    /** Write-path lookup: allocates or clones so the page is unique. */
+    /**
+     * Write-path lookup: allocates or clones so the page is unique,
+     * and clears its fingerprint memo.
+     */
     Page &pageFor(Addr a);
+    std::vector<Addr> sortedPageNumbers() const;
 
     std::unordered_map<Addr, std::shared_ptr<Page>> _pages;
 };

@@ -183,7 +183,7 @@ TEST(Scheduler, CarriesDataImage)
     Program seq = b.finalize();
     seq.poke64(0x5000, 0xDEADBEEF);
     Program s = schedule(seq);
-    EXPECT_EQ(s.dataImage().read(0x5000), 0xEF);
+    EXPECT_EQ(s.dataImage().readByte(0x5000), 0xEF);
 }
 
 TEST(Scheduler, EmptyCyclesAreElided)

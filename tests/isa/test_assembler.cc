@@ -117,9 +117,9 @@ TEST(Assembler, PokeDirectives)
                                    ".poke32 0x2000 7\n"
                                    ".pokedouble 0x3000 1.5\n"
                                    "halt\n");
-    EXPECT_EQ(p.dataImage().read(0x1000), 0xEF);
-    EXPECT_EQ(p.dataImage().read(0x2000), 0x07);
-    EXPECT_NE(p.dataImage().read(0x3006), 0x00); // 1.5's high bytes
+    EXPECT_EQ(p.dataImage().readByte(0x1000), 0xEF);
+    EXPECT_EQ(p.dataImage().readByte(0x2000), 0x07);
+    EXPECT_NE(p.dataImage().readByte(0x3006), 0x00); // 1.5's high bytes
 }
 
 TEST(Assembler, BranchByIndex)

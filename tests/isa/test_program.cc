@@ -10,6 +10,7 @@ namespace
 
 using namespace ff::isa;
 using ff::Addr;
+using ff::memory::SparseMemory;
 
 Program
 tinyValid()
@@ -58,21 +59,21 @@ TEST(Program, DataImagePokes)
     p.poke32(0x2000, 0xAABBCCDDu);
     p.pokeDouble(0x3000, 1.5);
 
-    const DataImage &img = p.dataImage();
-    EXPECT_EQ(img.read(0x1000), 0x88);
-    EXPECT_EQ(img.read(0x1007), 0x11);
-    EXPECT_EQ(img.read(0x2003), 0xAA);
-    EXPECT_EQ(img.read(0x4000), 0x00); // untouched reads zero
+    const SparseMemory &img = p.dataImage();
+    EXPECT_EQ(img.readByte(0x1000), 0x88);
+    EXPECT_EQ(img.readByte(0x1007), 0x11);
+    EXPECT_EQ(img.readByte(0x2003), 0xAA);
+    EXPECT_EQ(img.readByte(0x4000), 0x00); // untouched reads zero
 }
 
 TEST(Program, DataImageCrossPageWrite)
 {
     Program p = tinyValid();
-    const Addr boundary = DataImage::kPageBytes - 4;
+    const Addr boundary = SparseMemory::kPageBytes - 4;
     p.poke64(boundary, 0x0807060504030201ULL);
-    EXPECT_EQ(p.dataImage().read(boundary), 0x01);
-    EXPECT_EQ(p.dataImage().read(boundary + 7), 0x08);
-    EXPECT_EQ(p.dataImage().pages().size(), 2u);
+    EXPECT_EQ(p.dataImage().readByte(boundary), 0x01);
+    EXPECT_EQ(p.dataImage().readByte(boundary + 7), 0x08);
+    EXPECT_EQ(p.dataImage().touchedPages(), 2u);
 }
 
 /** tinyValid() with data on three pages, one poke crossing a page. */
@@ -82,7 +83,7 @@ tinyWithData()
     Program p = tinyValid();
     p.poke64(0x1000, 0x1122334455667788ULL);
     p.poke32(0x2000, 0xAABBCCDDu);
-    p.poke64(DataImage::kPageBytes - 4, 0x0807060504030201ULL);
+    p.poke64(SparseMemory::kPageBytes - 4, 0x0807060504030201ULL);
     return p;
 }
 
@@ -109,7 +110,7 @@ TEST(Program, ContentHashFollowsInPlacePokes)
     p.poke32(0x2000, 0xAABBCCDDu);
     const std::uint64_t two = p.contentHash();
     EXPECT_NE(two, one);
-    p.poke64(DataImage::kPageBytes - 4, 0x0807060504030201ULL);
+    p.poke64(SparseMemory::kPageBytes - 4, 0x0807060504030201ULL);
     EXPECT_NE(p.contentHash(), two);
     EXPECT_EQ(p.contentHash(), tinyWithData().contentHash());
     p.pokeDouble(0x3000, 1.5);
@@ -141,7 +142,7 @@ TEST(Program, SequentializeFlattensGroups)
     }
     // Branch targets and the data image survive.
     EXPECT_EQ(flat.inst(2).imm, 2);
-    EXPECT_EQ(flat.dataImage().read(0x100), 7);
+    EXPECT_EQ(flat.dataImage().readByte(0x100), 7);
     EXPECT_EQ(flat.validate(), "");
 }
 

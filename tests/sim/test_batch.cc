@@ -82,6 +82,32 @@ TEST(Batch, DeterministicAcrossJobCountsAndRepeats)
     expectIdentical(par, par2, "jobs=4 repeat");
 }
 
+TEST(Batch, ConcurrentFirstFingerprintsMatchSerial)
+{
+    // Two separate builds share no pages. Nothing has fingerprinted
+    // `fresh`, so its four parallel jobs race to fill the per-page
+    // fingerprint memos their models share through its image.
+    const workloads::Workload fresh =
+        workloads::buildWorkload("181.mcf", kScale);
+    const workloads::Workload ref =
+        workloads::buildWorkload("181.mcf", kScale);
+    auto jobsFor = [](const isa::Program &prog) {
+        std::vector<sim::SimJob> jobs;
+        for (sim::CpuKind kind :
+             {sim::CpuKind::kBaseline, sim::CpuKind::kTwoPass,
+              sim::CpuKind::kTwoPassRegroup}) {
+            sim::SimJob j;
+            j.program = &prog;
+            j.kind = kind;
+            jobs.push_back(j);
+        }
+        return jobs;
+    };
+    const auto par = sim::runBatch(jobsFor(fresh.program), 4);
+    const auto serial = sim::runBatch(jobsFor(ref.program), 1);
+    expectIdentical(serial, par, "fresh image on 4 jobs vs serial");
+}
+
 TEST(Batch, OutcomesArriveInSubmissionOrder)
 {
     std::vector<workloads::Workload> suite;

@@ -2,10 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
+#include "common/serialize.hh"
 #include "compiler/scheduler.hh"
+#include "cpu/core/model_factory.hh"
 #include "isa/builder.hh"
 #include "sim/harness.hh"
 #include "sim/machine_config.hh"
+#include "workloads/workload.hh"
 
 namespace
 {
@@ -46,6 +52,62 @@ TEST(Harness, SimulateFillsOutcome)
     EXPECT_EQ(o.cycles.total(), o.run.cycles);
     EXPECT_NE(o.regFingerprint, 0u);
     EXPECT_NE(o.memFingerprint, 0u);
+}
+
+std::vector<std::uint8_t>
+imageBytes(const Program &p)
+{
+    serial::Writer w;
+    p.dataImage().save(w);
+    return w.take();
+}
+
+TEST(Harness, ModelIgnoresPokesToItsProgramAfterBuild)
+{
+    // Models copy the image's page table, so an in-place poke of the
+    // program afterwards must clone the program's page, not the
+    // model's.
+    const workloads::Workload w = workloads::buildWorkload("181.mcf", 6);
+    Program prog = w.program;
+    const std::unique_ptr<cpu::CpuModel> model = cpu::makeModel(
+        sim::CpuKind::kTwoPass, prog, sim::table1Config());
+
+    std::vector<Addr> bases;
+    prog.dataImage().forEachPage(
+        [&bases](Addr base, const std::uint8_t *) {
+            bases.push_back(base);
+        });
+    ASSERT_FALSE(bases.empty());
+    for (const Addr b : bases)
+        prog.poke64(b, ~prog.dataImage().read64(b));
+
+    EXPECT_EQ(model->memState().read64(bases.front()),
+              w.program.dataImage().read64(bases.front()));
+    EXPECT_EQ(model->memState().fingerprint(),
+              w.program.dataImage().fingerprint());
+    ASSERT_TRUE(model->run(sim::kDefaultMaxCycles).halted);
+    EXPECT_EQ(model->memState().fingerprint(),
+              sim::runFunctional(w.program).memFingerprint);
+}
+
+TEST(Harness, RunsLeaveTheProgramImageUnchanged)
+{
+    const workloads::Workload w = workloads::buildWorkload("181.mcf", 6);
+    const std::vector<std::uint8_t> before = imageBytes(w.program);
+    const std::uint64_t image_fp = w.program.dataImage().fingerprint();
+
+    const sim::FunctionalOutcome ref = sim::runFunctional(w.program);
+    EXPECT_NE(ref.memFingerprint, image_fp) << "the run writes memory";
+    for (const sim::CpuKind kind :
+         {sim::CpuKind::kBaseline, sim::CpuKind::kTwoPass}) {
+        const sim::SimOutcome o = sim::simulate(w.program, kind);
+        EXPECT_EQ(o.memFingerprint, ref.memFingerprint);
+    }
+
+    EXPECT_EQ(imageBytes(w.program), before);
+    EXPECT_EQ(w.program.dataImage().fingerprint(), image_fp);
+    EXPECT_EQ(w.program.contentHash(),
+              workloads::buildWorkload("181.mcf", 6).program.contentHash());
 }
 
 TEST(Harness, RegroupKindSetsRegroupFlag)

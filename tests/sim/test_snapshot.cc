@@ -11,11 +11,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "common/serialize.hh"
 #include "cpu/core/model_factory.hh"
 #include "sim/batch.hh"
 #include "sim/harness.hh"
@@ -260,6 +262,78 @@ TEST(Snapshot, ProgramContentHashCoversDataImage)
     // not.
     EXPECT_EQ(a.instStreamHash(), b.instStreamHash());
     EXPECT_NE(a.contentHash(), b.contentHash());
+}
+
+std::vector<std::uint8_t>
+memoryBytes(const memory::SparseMemory &m)
+{
+    serial::Writer w;
+    m.save(w);
+    return w.take();
+}
+
+TEST(Snapshot, RestoredWritesReachNeitherImageNorSource)
+{
+    // A restore re-shares every page still equal to the image; the
+    // restored model's later stores must clone those pages.
+    const cpu::CoreConfig cfg = sim::table1Config();
+    const workloads::Workload &w = suite().front();
+    const sim::CpuKind kind = sim::CpuKind::kTwoPass;
+    const std::vector<std::uint8_t> image =
+        memoryBytes(w.program.dataImage());
+
+    const std::unique_ptr<cpu::CpuModel> source =
+        cpu::makeModel(kind, w.program, cfg);
+    (void)source->run(midRunCycle(w.program, kind));
+    const sim::Snapshot snap =
+        sim::saveSnapshot(*source, kind, w.program, cfg);
+    const std::vector<std::uint8_t> source_mem =
+        memoryBytes(source->memState());
+    const std::uint64_t source_fp = source->memState().fingerprint();
+
+    const std::unique_ptr<cpu::CpuModel> restored =
+        cpu::makeModel(kind, w.program, cfg, /*load_image=*/false);
+    sim::restoreSnapshot(*restored, snap, kind, w.program, cfg);
+    EXPECT_EQ(memoryBytes(restored->memState()), source_mem);
+    ASSERT_TRUE(restored->run(sim::kDefaultMaxCycles).halted);
+    EXPECT_NE(restored->memState().fingerprint(), source_fp);
+    EXPECT_EQ(restored->memState().fingerprint(),
+              sim::simulate(w.program, kind, cfg).memFingerprint);
+
+    EXPECT_EQ(memoryBytes(w.program.dataImage()), image);
+    EXPECT_EQ(memoryBytes(source->memState()), source_mem);
+    EXPECT_EQ(source->memState().fingerprint(), source_fp);
+}
+
+TEST(SnapshotDeathTest, MalformedPageTableIsStructurallyCorrupt)
+{
+    // Rewrite the SMEM section's second page number to repeat the
+    // first: the page table no longer strictly increases.
+    const cpu::CoreConfig cfg = sim::table1Config();
+    const workloads::Workload &w = suite().front();
+    const sim::CpuKind kind = sim::CpuKind::kBaseline;
+    const std::unique_ptr<cpu::CpuModel> m =
+        cpu::makeModel(kind, w.program, cfg);
+    (void)m->run(1000);
+    sim::Snapshot snap = sim::saveSnapshot(*m, kind, w.program, cfg);
+
+    serial::Writer tag;
+    tag.u32(serial::tag("SMEM"));
+    const std::vector<std::uint8_t> &t = tag.buffer();
+    std::vector<std::uint8_t> &s = snap.state;
+    const auto at = std::search(s.begin(), s.end(), t.begin(), t.end());
+    ASSERT_NE(at, s.end());
+    const std::size_t count = static_cast<std::size_t>(at - s.begin()) + 4;
+    const std::size_t first = count + 8;
+    const std::size_t second = first + 8 + memory::SparseMemory::kPageBytes;
+    serial::Reader pages(&s[count], 8);
+    ASSERT_GE(pages.u64(), 2u);
+    std::memcpy(&s[second], &s[first], 8);
+
+    const std::unique_ptr<cpu::CpuModel> other =
+        cpu::makeModel(kind, w.program, cfg, /*load_image=*/false);
+    EXPECT_DEATH(sim::restoreSnapshot(*other, snap, kind, w.program, cfg),
+                 "structurally corrupt snapshot");
 }
 
 TEST(SnapshotDeathTest, RestoreRejectsMismatchedIdentity)

@@ -94,6 +94,7 @@ struct StageFixture
                           const CoreConfig &c = CoreConfig())
         : prog(p),
           cfg(c),
+          mem(p.dataImage()),
           hier(cfg.mem),
           pred(branch::makePredictor(cfg.predictorKind,
                                      cfg.predictorEntries)),
@@ -105,7 +106,6 @@ struct StageFixture
           feedback(cfg, ms, stats),
           bpipe(ctx, feedback)
     {
-        mem.loadPages(prog.dataImage().pages());
     }
 
     const Program &prog;
