@@ -5,7 +5,6 @@
 #include <sstream>
 
 #include "analysis/cfg.hh"
-#include "analysis/constprop.hh"
 #include "analysis/liveness.hh"
 #include "analysis/memdep.hh"
 #include "analysis/range.hh"
@@ -521,52 +520,38 @@ class Checker
     }
 
     /**
-     * Memory address diagnostics. Constant propagation proves exact
-     * effective addresses null or misaligned; value-range propagation
-     * extends the alignment proof to non-constant addresses whose
-     * low bits are pinned by their construction (masks, shifts,
-     * scaled indices).
+     * Memory address diagnostics from value ranges. An exact
+     * effective address is checked for null and alignment directly;
+     * any other address is misaligned when its low bits are pinned by
+     * its construction (masks, shifts, scaled indices).
      */
     void
     constantMemory(const Cfg &cfg)
     {
-        const ConstProp cp(cfg);
         const RangeProp rp(cfg);
         for (InstIdx i = 0; i < _prog.size(); ++i) {
             const Instruction &in = _prog.inst(i);
             if (!in.isMem())
                 continue;
             const unsigned size = MemDep::accessBytes(in);
-            const auto ea = cp.effectiveAddress(i);
-            if (ea) {
-                std::ostringstream hex;
-                hex << "0x" << std::hex << *ea;
-                if (*ea == 0) {
-                    add(CheckId::kNullAccess, Severity::kError, i,
-                        at(i) +
-                            ": effective address is statically null");
-                } else if (*ea % size != 0) {
-                    add(CheckId::kMisalignedAccess, Severity::kError, i,
-                        at(i) + ": effective address " + hex.str() +
-                            " is not " + std::to_string(size) +
-                            "-byte aligned");
-                }
+            const Range ea = rp.effectiveAddress(i);
+            if (ea.provablyZero()) {
+                add(CheckId::kNullAccess, Severity::kError, i,
+                    at(i) + ": effective address is statically null");
                 continue;
             }
-            // Not a compile-time constant: fall back on ranges.
-            const Range r = rp.effectiveAddress(i);
-            if (r.provablyZero()) {
-                add(CheckId::kNullAccess, Severity::kError, i,
-                    at(i) + ": effective address is provably null on "
-                            "every path");
-            } else if (r.provablyMisaligned(size)) {
-                add(CheckId::kMisalignedAccess, Severity::kError, i,
-                    at(i) + ": effective address is provably " +
-                        std::to_string(r.rem % size) + " mod " +
-                        std::to_string(size) +
-                        ", never " + std::to_string(size) +
-                        "-byte aligned");
+            if (!ea.provablyMisaligned(size))
+                continue;
+            std::ostringstream why;
+            if (ea.isConstant()) {
+                why << "0x" << std::hex << ea.lo << std::dec << " is not ";
+            } else {
+                why << "is provably " << ea.rem % size << " mod " << size
+                    << ", never ";
             }
+            why << size << "-byte aligned";
+            add(CheckId::kMisalignedAccess, Severity::kError, i,
+                at(i) + ": effective address " + why.str());
         }
     }
 

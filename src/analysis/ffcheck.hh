@@ -6,8 +6,8 @@
  * def-before-use, legal branch targets); ffcheck proves them before a
  * program burns simulated cycles. Version 2 is built on the shared
  * whole-program dataflow engine (analysis/dataflow.hh): reaching
- * definitions drive flow-sensitive def-before-use, constant and
- * value-range propagation prove addresses null or misaligned, and the
+ * definitions drive flow-sensitive def-before-use, value-range
+ * propagation proves addresses null or misaligned, and the
  * memory-dependence analysis splits intra-group memory pairs into
  * provably-disjoint (legal), provably-overlapping (alias-store-order)
  * and unknown (conservative group-mem-order).
@@ -40,9 +40,8 @@ namespace analysis
 {
 
 /**
- * Verifier version, part of the persistent verify-cache key: bump it
- * whenever a diagnostic is added, removed or reclassified so cached
- * verdicts from older versions are not replayed.
+ * Verifier version, reported in the SARIF and JSON diagnostics: bump
+ * it whenever a diagnostic is added, removed or reclassified.
  */
 inline constexpr std::uint32_t kFfcheckVersion = 2;
 

@@ -4,6 +4,7 @@
 
 #include "analysis/dataflow.hh"
 #include "common/logging.hh"
+#include "cpu/exec.hh"
 #include "cpu/regfile.hh"
 
 namespace ff
@@ -181,26 +182,35 @@ readReg(const RangeState &state, RegId r)
 Range
 evalInt(const Instruction &in, const RangeState &state)
 {
+    using Rule = Range (*)(const Range &, const Range &);
+    Rule rule = nullptr;
+    switch (in.op) {
+      case Opcode::kMovi:
+        return Range::constant(static_cast<std::uint64_t>(in.imm));
+      case Opcode::kMov: return readReg(state, in.src1);
+      case Opcode::kAdd: rule = addRanges; break;
+      case Opcode::kSub: rule = subRanges; break;
+      case Opcode::kAnd: rule = andRanges; break;
+      case Opcode::kOr:  rule = orRanges; break;
+      case Opcode::kXor: rule = xorRanges; break;
+      case Opcode::kShl: rule = shlRanges; break;
+      case Opcode::kShr: rule = shrRanges; break;
+      case Opcode::kSra: break; // exact operands only
+      case Opcode::kMul: rule = mulRanges; break;
+      default:
+        return Range::top();
+    }
     const Range a = readReg(state, in.src1);
     const Range b =
         in.src2IsImm
             ? Range::constant(static_cast<std::uint64_t>(in.imm))
             : readReg(state, in.src2);
-    switch (in.op) {
-      case Opcode::kMovi:
-        return Range::constant(static_cast<std::uint64_t>(in.imm));
-      case Opcode::kMov: return a;
-      case Opcode::kAdd: return addRanges(a, b);
-      case Opcode::kSub: return subRanges(a, b);
-      case Opcode::kAnd: return andRanges(a, b);
-      case Opcode::kOr:  return orRanges(a, b);
-      case Opcode::kXor: return xorRanges(a, b);
-      case Opcode::kShl: return shlRanges(a, b);
-      case Opcode::kShr: return shrRanges(a, b);
-      case Opcode::kMul: return mulRanges(a, b);
-      default:
-        return Range::top();
-    }
+    // Exact operands give the exact result, computed by the
+    // simulator's own integer semantics.
+    if (a.isConstant() && b.isConstant())
+        return Range::constant(
+            cpu::evaluate(in, true, a.lo, b.lo).dstVal);
+    return rule != nullptr ? rule(a, b) : Range::top();
 }
 
 } // namespace
@@ -381,9 +391,11 @@ RangeProp::effectiveAddress(InstIdx i) const
     const Instruction &in = _cfg.program().inst(i);
     if (!in.isMem())
         return Range::top();
+    const Range base = rangeBefore(i, in.src1);
+    if (base.isConstant())
+        return Range::constant(cpu::evaluate(in, true, base.lo, 0).addr);
     return addRanges(
-        rangeBefore(i, in.src1),
-        Range::constant(static_cast<std::uint64_t>(in.imm)));
+        base, Range::constant(static_cast<std::uint64_t>(in.imm)));
 }
 
 } // namespace analysis

@@ -6,7 +6,11 @@
  * (value ≡ rem mod 2^alignLog2), so the verifier can prove alignment
  * and nullness facts about effective addresses that are *not*
  * compile-time constants — e.g. a base built as `x << 3 | 4` is
- * provably 4 mod 8 whatever x is.
+ * provably 4 mod 8 whatever x is. A range with lo == hi is an exact
+ * constant: an integer op on two of them, and an address off a
+ * constant base, fold to the exact value through cpu::evaluate, so
+ * wraparound never loses a constant and the analysis computes every
+ * constant the way the simulator does.
  *
  * Congruence arithmetic is exact under 64-bit wraparound, so it
  * survives operations whose interval must fall to top on possible
@@ -93,7 +97,8 @@ class RangeProp
     Range rangeBefore(InstIdx i, isa::RegId reg) const;
 
     /** The range of memory instruction @p i's effective address
-     *  ([src1 + imm]); top() if @p i is not a memory operation. */
+     *  ([src1 + imm]), exact when the base is a constant; top() if
+     *  @p i is not a memory operation. */
     Range effectiveAddress(InstIdx i) const;
 
     /** Applies instruction @p in to @p state (exposed for tests). */

@@ -191,6 +191,8 @@ class Reader
     void
     bytes(void *p, std::size_t n)
     {
+        if (n == 0)
+            return; // an empty container's data() may be null
         if (!take(n)) {
             std::memset(p, 0, n);
             return;

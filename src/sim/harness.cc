@@ -7,7 +7,6 @@
 #include "analysis/ffcheck.hh"
 #include "common/logging.hh"
 #include "cpu/functional/functional_cpu.hh"
-#include "sim/result_cache.hh"
 #include "workloads/kernels.hh"
 
 namespace ff
@@ -65,15 +64,6 @@ verifyProgram(const isa::Program &prog, const isa::GroupLimits &limits)
         if (g_verified.count(key) != 0)
             return;
     }
-    // Second tier: the on-disk verification cache (keyed by the
-    // ffcheck version as well, so a checker upgrade re-verifies
-    // everything). Only known-clean verdicts live there.
-    const std::string ckey = verifyCacheKey(prog, limits);
-    if (verifyCacheLookup(ckey)) {
-        std::lock_guard<std::mutex> lk(g_verifiedMu);
-        g_verified.insert(key);
-        return;
-    }
     analysis::CheckOptions opts;
     opts.limits = limits;
     opts.reportPressure = false;
@@ -81,7 +71,6 @@ verifyProgram(const isa::Program &prog, const isa::GroupLimits &limits)
     ff_fatal_if(rep.errors() > 0, "ffcheck rejected program '",
                 prog.name(), "':\n",
                 analysis::render(rep, prog.name()));
-    verifyCacheStore(ckey);
     std::lock_guard<std::mutex> lk(g_verifiedMu);
     g_verified.insert(key);
 }

@@ -10,7 +10,6 @@
 
 #include <unistd.h>
 
-#include "analysis/ffcheck.hh"
 #include "common/engine_trace.hh"
 #include "common/hash.hh"
 #include "common/serialize.hh"
@@ -30,9 +29,6 @@ namespace fs = std::filesystem;
 /** Entry magic: "FFRC" (flea-flicker result cache). */
 constexpr std::uint32_t kCacheMagic = serial::tag("FFRC");
 
-/** Entry magic: "FFVC" (flea-flicker verify cache). */
-constexpr std::uint32_t kVerifyMagic = serial::tag("FFVC");
-
 std::mutex g_cfgMu;
 std::string g_dir;       // explicit override (valid when g_dirSet)
 bool g_dirSet = false;   // setResultCacheDir() called
@@ -43,11 +39,6 @@ std::atomic<std::uint64_t> g_hits{0};
 std::atomic<std::uint64_t> g_misses{0};
 std::atomic<std::uint64_t> g_stores{0};
 std::atomic<std::uint64_t> g_errors{0};
-
-std::atomic<std::uint64_t> g_vHits{0};
-std::atomic<std::uint64_t> g_vMisses{0};
-std::atomic<std::uint64_t> g_vStores{0};
-std::atomic<std::uint64_t> g_vErrors{0};
 
 /** Monotonic suffix so concurrent stores never share a temp file. */
 std::atomic<std::uint64_t> g_tmpSeq{0};
@@ -64,12 +55,6 @@ entryPath(const std::string &dir, const std::string &key)
 {
     // Two-level fan-out keeps directories small under big sweeps.
     return fs::path(dir) / key.substr(0, 2) / (key.substr(2) + ".ffr");
-}
-
-fs::path
-verifyEntryPath(const std::string &dir, const std::string &key)
-{
-    return fs::path(dir) / key.substr(0, 2) / (key.substr(2) + ".ffv");
 }
 
 void
@@ -424,119 +409,6 @@ resultCacheStore(const std::string &key, const SimOutcome &outcome)
     }
     ++g_stores;
     return true;
-}
-
-std::string
-verifyCacheKey(const isa::Program &prog, const isa::GroupLimits &limits)
-{
-    serial::Writer w;
-    w.u32(kVerifyMagic);
-    w.u32(kResultCacheVersion);
-    w.u32(analysis::kFfcheckVersion);
-    w.u64(prog.instStreamHash());
-    w.u32(limits.issueWidth);
-    w.u32(limits.aluUnits);
-    w.u32(limits.memUnits);
-    w.u32(limits.fpUnits);
-    w.u32(limits.branchUnits);
-    return Sha256::hex(w.buffer().data(), w.buffer().size());
-}
-
-bool
-verifyCacheLookup(const std::string &key)
-{
-    const std::string dir = resultCacheDir();
-    if (dir.empty())
-        return false;
-    if (resultCacheBypass()) {
-        ++g_vMisses;
-        return false;
-    }
-
-    std::error_code ec;
-    const fs::path path = verifyEntryPath(dir, key);
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-        ++g_vMisses;
-        return false;
-    }
-    const std::vector<std::uint8_t> bytes(
-        (std::istreambuf_iterator<char>(in)),
-        std::istreambuf_iterator<char>());
-    serial::Reader r(bytes);
-    if (r.u32() != kVerifyMagic || r.u32() != kResultCacheVersion ||
-        r.str() != key || !r.atEnd()) {
-        fs::remove(path, ec);
-        ++g_vErrors;
-        ++g_vMisses;
-        return false;
-    }
-    ++g_vHits;
-    return true;
-}
-
-bool
-verifyCacheStore(const std::string &key)
-{
-    const std::string dir = resultCacheDir();
-    if (dir.empty())
-        return false;
-
-    serial::Writer w;
-    w.u32(kVerifyMagic);
-    w.u32(kResultCacheVersion);
-    w.str(key);
-
-    std::error_code ec;
-    const fs::path path = verifyEntryPath(dir, key);
-    fs::create_directories(path.parent_path(), ec);
-    if (ec) {
-        ++g_vErrors;
-        return false;
-    }
-    const fs::path tmp =
-        path.parent_path() /
-        (key.substr(2) + ".tmp" + std::to_string(::getpid()) + "." +
-         std::to_string(g_tmpSeq.fetch_add(1)));
-    {
-        std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-        if (!out ||
-            !out.write(
-                reinterpret_cast<const char *>(w.buffer().data()),
-                static_cast<std::streamsize>(w.buffer().size()))) {
-            ++g_vErrors;
-            fs::remove(tmp, ec);
-            return false;
-        }
-    }
-    fs::rename(tmp, path, ec);
-    if (ec) {
-        ++g_vErrors;
-        fs::remove(tmp, ec);
-        return false;
-    }
-    ++g_vStores;
-    return true;
-}
-
-VerifyCacheStats
-verifyCacheStats()
-{
-    VerifyCacheStats s;
-    s.hits = g_vHits.load();
-    s.misses = g_vMisses.load();
-    s.stores = g_vStores.load();
-    s.errors = g_vErrors.load();
-    return s;
-}
-
-void
-resetVerifyCacheStats()
-{
-    g_vHits = 0;
-    g_vMisses = 0;
-    g_vStores = 0;
-    g_vErrors = 0;
 }
 
 ResultCacheStats

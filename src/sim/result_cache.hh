@@ -108,47 +108,6 @@ ResultCacheStats resultCacheStats();
 /** Zeroes the lifetime counters (benches call this per phase). */
 void resetResultCacheStats();
 
-// --- verification cache ---------------------------------------------
-//
-// ffcheck admission results are pure functions of (instruction
-// stream, checker version, machine widths), so known-clean verdicts
-// persist alongside the simulation outcomes: a warm sweep skips both
-// the simulation and the O(program) static analysis in front of it.
-// Only *clean* programs are recorded — errors are fatal upstream and
-// must stay loud on every run. Counted separately from the result
-// cache so cache-behavior tests can tell the two populations apart.
-
-/** Lifetime counters of the verification cache. */
-struct VerifyCacheStats
-{
-    std::uint64_t hits = 0;   ///< known-clean verdicts read from disk
-    std::uint64_t misses = 0; ///< programs that had to be re-checked
-    std::uint64_t stores = 0; ///< clean verdicts written
-    std::uint64_t errors = 0; ///< corrupt entries or IO failures
-};
-
-/**
- * Content address of one verification: SHA-256 over the cache
- * version, the ffcheck version, the instruction-stream hash (data
- * image and srcLine provenance excluded — neither feeds a check),
- * and the group limits.
- */
-std::string verifyCacheKey(const isa::Program &prog,
-                           const isa::GroupLimits &limits);
-
-/** True when @p key is recorded as known-clean (counts hit/miss). */
-bool verifyCacheLookup(const std::string &key);
-
-/** Records @p key as known-clean. Same atomicity as the result
- *  store; returns false when disabled or on IO failure. */
-bool verifyCacheStore(const std::string &key);
-
-/** Snapshot of the verification-cache counters. */
-VerifyCacheStats verifyCacheStats();
-
-/** Zeroes the verification-cache counters. */
-void resetVerifyCacheStats();
-
 } // namespace sim
 } // namespace ff
 

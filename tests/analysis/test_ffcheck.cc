@@ -474,7 +474,7 @@ TEST(FfcheckStructural, EmptyProgramIsFlagged)
     EXPECT_GE(rep.errors(), 1u);
 }
 
-// ----- constant-propagated memory checks ----------------------------
+// ----- memory address checks ---------------------------------------
 
 TEST(FfcheckMemory, StaticallyNullLoadIsFlagged)
 {
@@ -519,6 +519,37 @@ TEST(FfcheckMemory, MisalignmentThroughAddChainIsFlagged)
                                 "ld4 r1 = [r3]\n"
                                 "halt\n");
     EXPECT_TRUE(has(rep, CheckId::kMisalignedAccess));
+}
+
+TEST(FfcheckMemory, ExactAddressWithoutCongruenceNamesTheAddress)
+{
+    // r1 is never written, so r5 = r1 & r6 is exactly zero; r6 joins
+    // 0 with an odd constant, so the AND carries no congruence. The
+    // message must give the exact address, not a made-up remainder.
+    const Report rep = checkAsm("movi r9 = 1 ;;\n"
+                                "cmp.eq p1, p2 = r9, 1 ;;\n"
+                                "(p1) movi r6 = 23097 ;;\n"
+                                "and r5 = r1, r6 ;;\n"
+                                "st4 [r5+4097] = r0\n"
+                                "halt\n");
+    const Finding *f = find(rep, CheckId::kMisalignedAccess);
+    ASSERT_NE(f, nullptr);
+    EXPECT_EQ(f->message,
+              "inst 4: effective address 0x1001 is not 4-byte aligned");
+}
+
+TEST(FfcheckMemory, NullProvenByRangesIsStaticallyNull)
+{
+    // x & 0 is zero whatever the loaded x is.
+    const Report rep = checkAsm("movi r2 = 0x1000 ;;\n"
+                                "ld8 r3 = [r2] ;;\n"
+                                "and r4 = r3, 0 ;;\n"
+                                "ld8 r1 = [r4]\n"
+                                "halt\n");
+    const Finding *f = find(rep, CheckId::kNullAccess);
+    ASSERT_NE(f, nullptr);
+    EXPECT_EQ(f->inst, 3u);
+    EXPECT_EQ(f->message, "inst 3: effective address is statically null");
 }
 
 TEST(FfcheckMemory, NearMissUnknownAddressIsNotFlagged)

@@ -1,6 +1,7 @@
 /**
  * @file
- * Unit tests for integer value-range propagation: the interval and
+ * Unit tests for integer value-range propagation: exact constants
+ * folded the way cpu::evaluate computes them, the interval and
  * power-of-two congruence lattice, widening at loop joins, and the
  * alignment facts the verifier derives for non-constant addresses.
  */
@@ -47,6 +48,209 @@ aluImm(isa::Opcode op, isa::RegId dst, isa::RegId src1,
     in.imm = imm;
     in.src2IsImm = true;
     return in;
+}
+
+/** Succeeds when @p r is exactly the constant @p v. */
+::testing::AssertionResult
+isExactly(const Range &r, std::uint64_t v)
+{
+    if (r == Range::constant(v))
+        return ::testing::AssertionSuccess();
+    return ::testing::AssertionFailure()
+           << "range [" << r.lo << ", " << r.hi << "] rem " << r.rem
+           << " mod 2^" << unsigned{r.alignLog2} << " is not exactly "
+           << v;
+}
+
+/** Runs `movi r1 = v` then `op r2 = r1, imm` from reset; returns r2. */
+Range
+foldImm(isa::Opcode op, std::int64_t v, std::int64_t imm)
+{
+    RangeState s = zeroState();
+    RangeProp::transfer(
+        aluImm(isa::Opcode::kMovi, isa::intReg(1), isa::noReg(), v), &s);
+    RangeProp::transfer(aluImm(op, isa::intReg(2), isa::intReg(1), imm),
+                        &s);
+    return regOf(s, isa::intReg(2));
+}
+
+// ----- exact constants: transfer function --------------------------
+
+TEST(ConstPropTransfer, MoviProducesConstant)
+{
+    RangeState s = zeroState();
+    RangeProp::transfer(aluImm(isa::Opcode::kMovi, isa::intReg(3),
+                               isa::noReg(), 0x1234),
+                        &s);
+    EXPECT_TRUE(isExactly(regOf(s, isa::intReg(3)), 0x1234));
+}
+
+TEST(ConstPropTransfer, AddChainFolds)
+{
+    EXPECT_TRUE(isExactly(foldImm(isa::Opcode::kAdd, 0x1000, 8), 0x1008));
+}
+
+TEST(ConstPropTransfer, ShiftAmountIsMaskedLikeTheCpu)
+{
+    // cpu::evaluate masks shift counts to 6 bits; 67 behaves as 3.
+    EXPECT_TRUE(isExactly(foldImm(isa::Opcode::kShl, 1, 67), 8));
+}
+
+TEST(ConstPropTransfer, ArithmeticShiftFoldsExactly)
+{
+    // No interval rule covers sra; exact operands still fold.
+    EXPECT_TRUE(isExactly(foldImm(isa::Opcode::kSra, -64, 3),
+                          static_cast<std::uint64_t>(-8)));
+}
+
+TEST(ConstPropTransfer, XorFoldsExactly)
+{
+    EXPECT_TRUE(isExactly(foldImm(isa::Opcode::kXor, 0x0F0F, 0x00FF),
+                          0x0FF0));
+}
+
+TEST(ConstPropTransfer, SubUnderflowFoldsExactly)
+{
+    // The interval rule gives up on a borrow; the fold wraps.
+    EXPECT_TRUE(isExactly(foldImm(isa::Opcode::kSub, 3, 5),
+                          static_cast<std::uint64_t>(-2)));
+}
+
+TEST(ConstPropTransfer, MulOverflowFoldsExactly)
+{
+    // (2^32 + 1)^2 = 2^64 + 2^33 + 1 wraps to 2^33 + 1.
+    EXPECT_TRUE(isExactly(
+        foldImm(isa::Opcode::kMul, 0x100000001, 0x100000001),
+        0x200000001));
+}
+
+TEST(ConstPropTransfer, LoadDropsDestinationToBottom)
+{
+    RangeState s = zeroState();
+    isa::Instruction in;
+    in.op = isa::Opcode::kLd8;
+    in.dst = isa::intReg(4);
+    in.src1 = isa::intReg(1);
+    RangeProp::transfer(in, &s);
+    EXPECT_FALSE(regOf(s, isa::intReg(4)).isConstant());
+}
+
+TEST(ConstPropTransfer, PredicatedWriteMeetsOldAndNew)
+{
+    // (p1) movi r3 = 7 may retain the old value 0.
+    RangeState s = zeroState();
+    isa::Instruction in = aluImm(isa::Opcode::kMovi, isa::intReg(3),
+                                 isa::noReg(), 7);
+    in.qpred = isa::predReg(1);
+    RangeProp::transfer(in, &s);
+    EXPECT_FALSE(regOf(s, isa::intReg(3)).isConstant());
+}
+
+TEST(ConstPropTransfer, PredicatedRewriteOfSameValueStaysKnown)
+{
+    RangeState s = zeroState();
+    isa::Instruction in = aluImm(isa::Opcode::kMovi, isa::intReg(3),
+                                 isa::noReg(), 7);
+    RangeProp::transfer(in, &s);
+    in.qpred = isa::predReg(1);
+    RangeProp::transfer(in, &s);
+    EXPECT_TRUE(isExactly(regOf(s, isa::intReg(3)), 7));
+}
+
+TEST(ConstPropTransfer, OperandFromBottomGoesToBottom)
+{
+    RangeState s = zeroState();
+    s.regs[static_cast<std::size_t>(cpu::regSlot(isa::intReg(1)))] =
+        Range::top();
+    RangeProp::transfer(
+        aluImm(isa::Opcode::kAdd, isa::intReg(2), isa::intReg(1), 8),
+        &s);
+    EXPECT_FALSE(regOf(s, isa::intReg(2)).isConstant());
+}
+
+// ----- exact constants: whole-program dataflow ----------------------
+
+TEST(ConstPropDataflow, EntryStateIsArchitecturalZero)
+{
+    const isa::Program prog =
+        isa::assembleOrDie("ld8 r1 = [r5]\n"
+                           "halt\n",
+                           "cp");
+    const Cfg cfg(prog);
+    const RangeProp rp(cfg);
+    // r5 is never written: it is provably the reset value zero.
+    EXPECT_TRUE(isExactly(rp.rangeBefore(0, isa::intReg(5)), 0));
+    EXPECT_TRUE(isExactly(rp.effectiveAddress(0), 0));
+}
+
+TEST(ConstPropDataflow, HardwiredRegistersAreConstant)
+{
+    const isa::Program prog = isa::assembleOrDie("halt\n", "cp");
+    const Cfg cfg(prog);
+    const RangeProp rp(cfg);
+    EXPECT_TRUE(isExactly(rp.rangeBefore(0, isa::intReg(0)), 0));
+    EXPECT_TRUE(isExactly(rp.rangeBefore(0, isa::predReg(0)), 1));
+}
+
+TEST(ConstPropDataflow, EffectiveAddressFoldsBaseAndOffset)
+{
+    const isa::Program prog =
+        isa::assembleOrDie("movi r2 = 0x1000 ;;\n"
+                           "ld8 r1 = [r2+8]\n"
+                           "halt\n",
+                           "cp");
+    const Cfg cfg(prog);
+    const RangeProp rp(cfg);
+    EXPECT_TRUE(isExactly(rp.effectiveAddress(1), 0x1008));
+}
+
+TEST(ConstPropDataflow, EffectiveAddressWrapsLikeTheCpu)
+{
+    // -8 + 32760 wraps past 2^64, which the overflow-guarded interval
+    // add cannot follow; the exact fold lands on 0x7ff0.
+    const isa::Program prog =
+        isa::assembleOrDie("movi r2 = -8 ;;\n"
+                           "ld8 r1 = [r2+32760]\n"
+                           "halt\n",
+                           "cp");
+    const Cfg cfg(prog);
+    const RangeProp rp(cfg);
+    EXPECT_TRUE(isExactly(rp.effectiveAddress(1), 0x7ff0));
+}
+
+TEST(ConstPropDataflow, LoopJoinFallsToBottom)
+{
+    const isa::Program prog =
+        isa::assembleOrDie("movi r1 = 0 ;;\n"
+                           "loop:\n"
+                           "add r1 = r1, 1 ;;\n"
+                           "cmp.lt p1, p2 = r1, 10 ;;\n"
+                           "(p1) br loop\n"
+                           "halt\n",
+                           "cp");
+    const Cfg cfg(prog);
+    const RangeProp rp(cfg);
+    // At the loop head r1 merges 0 (entry) with increments.
+    EXPECT_FALSE(rp.rangeBefore(1, isa::intReg(1)).isConstant());
+    // A register untouched on every path stays provably zero there.
+    EXPECT_TRUE(isExactly(rp.rangeBefore(1, isa::intReg(5)), 0));
+}
+
+TEST(ConstPropDataflow, UnreachableCodeClaimsNoConstants)
+{
+    const isa::Program prog =
+        isa::assembleOrDie("movi r1 = 5 ;;\n"
+                           "br end\n"
+                           "movi r2 = 7 ;;\n"
+                           "end:\n"
+                           "halt\n",
+                           "cp");
+    const Cfg cfg(prog);
+    const RangeProp rp(cfg);
+    // Instruction 2 is dead; even r1 is not claimed constant there.
+    EXPECT_FALSE(rp.rangeBefore(2, isa::intReg(1)).isConstant());
+    // At the (reachable) join it is 5 on every incoming path.
+    EXPECT_TRUE(isExactly(rp.rangeBefore(3, isa::intReg(1)), 5));
 }
 
 // ----- lattice cells ------------------------------------------------

@@ -122,8 +122,9 @@ TEST(StallPred, NonLoadLatencyIsNotLoadStall)
     const StallPredictor sp(cfg);
     const StallPrediction p = sp.predict(3.0);
     EXPECT_DOUBLE_EQ(p.totalLoadStall(), 0.0);
-    if (prog.inst(1).execLatency() > 1)
+    if (prog.inst(1).execLatency() > 1) {
         EXPECT_GT(blockContaining(p, 2).otherStall, 0.0);
+    }
 }
 
 TEST(StallPred, PerBlockCostsAreIndependent)

@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "common/thread_pool.hh"
-#include "isa/assembler.hh"
 #include "sim/batch.hh"
 #include "sim/harness.hh"
 #include "sim/result_cache.hh"
@@ -321,91 +320,6 @@ TEST_F(ResultCacheTest, ConcurrentFirstKeysMatchTheSerialKey)
         f.get();
     for (const std::string &key : keys)
         EXPECT_EQ(key, serial);
-}
-
-// --- verification cache ---------------------------------------------
-
-TEST_F(ResultCacheTest, VerifyCacheKeySeparatesItsInputs)
-{
-    const isa::Program a = isa::assembleOrDie("movi r1 = 1 ;;\nhalt\n",
-                                              "a");
-    const isa::Program b = isa::assembleOrDie("movi r1 = 2 ;;\nhalt\n",
-                                              "b");
-    const isa::GroupLimits lim;
-    isa::GroupLimits narrow;
-    narrow.memUnits = 1;
-
-    EXPECT_NE(sim::verifyCacheKey(a, lim), sim::verifyCacheKey(b, lim));
-    EXPECT_NE(sim::verifyCacheKey(a, lim),
-              sim::verifyCacheKey(a, narrow));
-
-    // Source-line provenance is excluded: shifting the same stream
-    // down the file must not invalidate the verdict.
-    const isa::Program shifted = isa::assembleOrDie(
-        "// pushed down\n\n\nmovi r1 = 1 ;;\nhalt\n", "a");
-    EXPECT_EQ(sim::verifyCacheKey(a, lim),
-              sim::verifyCacheKey(shifted, lim));
-}
-
-TEST_F(ResultCacheTest, VerifyCacheRoundTripCountsSeparately)
-{
-    sim::resetVerifyCacheStats();
-    const isa::Program p =
-        isa::assembleOrDie("movi r2 = 3 ;;\nhalt\n", "vc");
-    const std::string key =
-        sim::verifyCacheKey(p, isa::GroupLimits());
-
-    EXPECT_FALSE(sim::verifyCacheLookup(key));
-    EXPECT_TRUE(sim::verifyCacheStore(key));
-    EXPECT_TRUE(sim::verifyCacheLookup(key));
-
-    const sim::VerifyCacheStats vs = sim::verifyCacheStats();
-    EXPECT_EQ(vs.hits, 1u);
-    EXPECT_EQ(vs.misses, 1u);
-    EXPECT_EQ(vs.stores, 1u);
-    // The verification population never touches the result counters.
-    const sim::ResultCacheStats rs = sim::resultCacheStats();
-    EXPECT_EQ(rs.hits + rs.misses + rs.stores, 0u);
-}
-
-TEST_F(ResultCacheTest, VerifyCacheCorruptEntryDegradesToMiss)
-{
-    sim::resetVerifyCacheStats();
-    const isa::Program p =
-        isa::assembleOrDie("movi r3 = 4 ;;\nhalt\n", "vcx");
-    const std::string key =
-        sim::verifyCacheKey(p, isa::GroupLimits());
-    ASSERT_TRUE(sim::verifyCacheStore(key));
-
-    fs::path entry;
-    for (const auto &e : fs::recursive_directory_iterator(_dir))
-        if (e.path().extension() == ".ffv")
-            entry = e.path();
-    ASSERT_FALSE(entry.empty());
-    {
-        std::ofstream out(entry, std::ios::binary | std::ios::trunc);
-        out << "garbage";
-    }
-    EXPECT_FALSE(sim::verifyCacheLookup(key));
-    EXPECT_EQ(sim::verifyCacheStats().errors, 1u);
-    // The corrupt file was dropped so a refresh can replace it.
-    EXPECT_FALSE(fs::exists(entry));
-}
-
-TEST_F(ResultCacheTest, VerificationWallFillsTheVerifyCache)
-{
-    sim::resetVerifyCacheStats();
-    // A program this process has never verified (unique constant),
-    // so the in-memory memo cannot satisfy the wall.
-    const isa::Program p = isa::assembleOrDie(
-        "movi r4 = 0x51a17 ;;\nmovi r5 = 0x100 ;;\n"
-        "st8 [r5] = r4\nhalt\n",
-        "vcfill");
-    const sim::FunctionalOutcome out = sim::runFunctional(p);
-    EXPECT_TRUE(out.result.halted);
-    EXPECT_TRUE(sim::verifyCacheLookup(
-        sim::verifyCacheKey(p, isa::GroupLimits())));
-    EXPECT_EQ(sim::verifyCacheStats().stores, 1u);
 }
 
 } // namespace
