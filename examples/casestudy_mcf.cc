@@ -2,21 +2,21 @@
  * @file
  * The Figure 1 / Figure 4 case study: watch the two-pass machine
  * execute the mcf-style loop cycle by cycle. Prints the scheduled
- * loop, then a short captured pipeline trace showing A-pipe loads
- * starting misses, consumers being deferred into the coupling queue,
- * and the B-pipe merging pre-executed results while deferred work
- * executes behind the miss — the concurrency of Figure 4.
+ * loop, then the pipeline lanes of its first ~520 cycles, recorded
+ * through the core's observer seam, showing A-pipe loads starting
+ * misses, consumers being deferred into the coupling queue, and the
+ * B-pipe replaying and retiring them behind the miss — the
+ * concurrency of Figure 4.
  *
  * Run: ./build/examples/casestudy_mcf
  */
 
 #include <cstdio>
 
-#include "common/trace.hh"
-#include "cpu/core/core_base.hh"
-#include "cpu/core/trace_observer.hh"
 #include "isa/disasm.hh"
 #include "sim/harness.hh"
+#include "sim/metrics.hh"
+#include "sim/pipe_trace.hh"
 #include "workloads/workload.hh"
 
 using namespace ff;
@@ -25,47 +25,34 @@ int
 main()
 {
     const workloads::Workload w = workloads::buildWorkload("181.mcf", 3);
+    const cpu::CoreConfig cfg = sim::table1Config();
 
     std::printf("=== The 181.mcf loop after issue-group scheduling "
                 "(';;' = stop bit) ===\n\n%s\n",
                 isa::disasmProgram(w.program).c_str());
 
-    // Capture a window of pipeline activity, with a TraceObserver on
-    // the core's observer seam counting retires/deferrals alongside.
-    trace::enable(trace::kApipe | trace::kBpipe | trace::kBranch |
-                  trace::kFlush | trace::kFeedback);
-    trace::captureToBuffer(true);
-    cpu::TraceObserver observer;
-    {
-        auto two_pass = cpu::makeModel(cpu::CpuKind::kTwoPass,
-                                       w.program, sim::table1Config());
-        dynamic_cast<cpu::CoreBase &>(*two_pass)
-            .setObserver(&observer);
-        two_pass->run(520);
-    }
-    trace::disable();
-    std::string log = trace::takeBuffer();
-    trace::captureToBuffer(false);
+    // Record a window of pipeline activity through the observer seam.
+    // The lanes are 160 cycles wide so the deferred consumers' replay
+    // and retirement after the ~145-cycle miss stay in view.
+    sim::MetricsOptions mopt;
+    mopt.pipeview = true;
+    sim::MetricsSession session(w.program, cfg, mopt);
+    const auto two_pass =
+        cpu::makeModel(cpu::CpuKind::kTwoPass, w.program, cfg);
+    session.attach(*two_pass);
+    const cpu::RunResult r = two_pass->run(520);
+    sim::MetricsRecord rec = session.harvest();
+    const sim::PipeTrace pt = sim::buildPipeTrace(
+        w.program, cfg, cpu::CpuKind::kTwoPass, r.cycles,
+        std::move(rec.pipeEvents), rec.pipeDropped, "181.mcf");
 
     std::printf("=== First ~520 cycles of two-pass execution ===\n"
-                "(A-LOAD = pre-executed load starting its miss early; "
-                "A-DEFER = instruction suppressed to the B-pipe;\n"
-                " B-LOAD = deferred load executing at the backup "
-                "pipe; FEEDBK = committed result returning to the "
-                "A-file)\n\n%s\n",
-                log.c_str());
-    std::printf("observer: %llu cycles, %llu group retires "
-                "(%llu slots), %llu deferrals, %llu flushes\n\n",
-                static_cast<unsigned long long>(
-                    observer.counts().cycles),
-                static_cast<unsigned long long>(
-                    observer.counts().groupRetires),
-                static_cast<unsigned long long>(
-                    observer.counts().slotsRetired),
-                static_cast<unsigned long long>(
-                    observer.counts().defers),
-                static_cast<unsigned long long>(
-                    observer.counts().flushes));
+                "(the ld8 loads pre-execute in the A-pipe and start "
+                "their misses; their consumers are deferred (d) into "
+                "the coupling\n queue, and the B-pipe retires them (R) "
+                "behind the miss, feeding results back to the A-file "
+                "(f))\n\n%s\n",
+                sim::renderPipeView(pt, 48, 1, 160).c_str());
 
     // And the quantitative punchline of the case study.
     const sim::SimOutcome base =

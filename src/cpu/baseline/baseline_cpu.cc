@@ -3,7 +3,6 @@
 #include <vector>
 
 #include "common/stats.hh"
-#include "common/trace.hh"
 #include "cpu/exec.hh"
 #include "cpu/issue_check.hh"
 #include "cpu/stats_report.hh"
@@ -80,10 +79,6 @@ BaselineCpu::tryIssue(Cycle now, RunResult &res)
                 const InstIdx target =
                     ev.taken ? static_cast<InstIdx>(in.imm) : end;
                 _fe.redirect(target, now + 1 + _cfg.branchResolveDelay);
-                ff_trace(trace::kBranch, now, "MISPRED",
-                         "@" << i << " actual "
-                             << (ev.taken ? "T" : "N") << " -> @"
-                             << target);
             }
             continue;
         }
@@ -102,11 +97,6 @@ BaselineCpu::tryIssue(Cycle now, RunResult &res)
                 _ms.regs.write(in.dst, ev.dstVal);
                 _ms.sb.setPending(in.dst, now + ar.latency,
                                   PendingKind::kLoad);
-                ff_trace(trace::kMem, now, "LOAD",
-                         "@" << i << " [" << std::hex << ev.addr
-                             << std::dec << "] "
-                             << memory::memLevelName(ar.level) << " +"
-                             << ar.latency);
                 continue;
             }
             ++_stats.storesIssued;

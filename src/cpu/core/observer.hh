@@ -4,10 +4,10 @@
  * event site) way for tooling to watch a timed core execute without
  * the core knowing who is listening. CoreBase owns the attachment
  * point; models and their stage units fire the hooks at the
- * architecturally meaningful moments. The trace subsystem is the
- * first client (TraceObserver); richer observability — sampling
- * profilers, pipeline visualizers, per-region accounting — plugs in
- * here without touching model code.
+ * architecturally meaningful moments. It is the one event path out
+ * of a core: the profile, telemetry and pipeview observers are its
+ * clients, and further observability plugs in here without touching
+ * model code.
  */
 
 #ifndef FF_CPU_CORE_OBSERVER_HH

@@ -1,7 +1,6 @@
 #include "cpu/frontend.hh"
 
 #include "common/logging.hh"
-#include "common/trace.hh"
 
 namespace ff
 {
@@ -63,13 +62,6 @@ FrontEnd::tick(Cycle now)
     } else {
         g.predictedNext = g.end;
     }
-
-    ff_trace(trace::kFetch, now, "FETCH",
-             "group @" << g.leader << ".." << (g.end - 1)
-                       << (g.hasBranch
-                               ? (g.predictedTaken ? " pred-T" : " pred-N")
-                               : "")
-                       << " ready@" << g.readyAt);
 
     _queue.push_back(g);
     ++_stats.groupsFetched;

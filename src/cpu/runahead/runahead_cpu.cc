@@ -3,7 +3,6 @@
 #include <vector>
 
 #include "common/stats.hh"
-#include "common/trace.hh"
 #include "cpu/exec.hh"
 #include "cpu/issue_check.hh"
 #include "cpu/stats_report.hh"
@@ -179,8 +178,6 @@ RunaheadCpu::enterRunahead(Cycle now, Cycle exit_at)
     });
     _ms.raSb.clear();
     _raStoreOverlay.clear();
-    ff_trace(trace::kExec, now, "RA-IN",
-             "resume @" << _raResumePc << " exit@" << exit_at);
 }
 
 void
@@ -191,7 +188,6 @@ RunaheadCpu::exitRunahead(Cycle now)
     // All run-ahead results are discarded; architectural state was
     // never modified. Refetch from the stalled group.
     _fe.redirect(_raResumePc, now + 1);
-    ff_trace(trace::kExec, now, "RA-OUT", "refetch @" << _raResumePc);
 }
 
 void

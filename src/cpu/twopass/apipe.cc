@@ -1,6 +1,5 @@
 #include "cpu/twopass/apipe.hh"
 
-#include "common/trace.hh"
 #include "cpu/exec.hh"
 
 namespace ff
@@ -153,9 +152,6 @@ APipe::dispatchGroup(const FetchedGroup &g, Cycle now)
                 _ctx.ms.afile.markDeferred(dsts[d], id);
             if (_ctx.ms.observer != nullptr)
                 _ctx.ms.observer->onDefer(now, i, id, reason);
-            ff_trace(trace::kApipe, now, "A-DEFER",
-                     "@" << i << " id " << id << " reason "
-                         << static_cast<unsigned>(reason));
             _ctx.ms.cq.push(e);
             continue;
         }
@@ -178,8 +174,6 @@ APipe::dispatchGroup(const FetchedGroup &g, Cycle now)
                     qp ? static_cast<InstIdx>(in.imm) : g.end;
                 _ctx.fe.redirect(target,
                                  now + 1 + _ctx.cfg.branchResolveDelay);
-                ff_trace(trace::kBranch, now, "A-DET",
-                         "mispredict @" << i << " -> @" << target);
             }
             _ctx.ms.cq.push(e);
             continue;
@@ -224,11 +218,6 @@ APipe::dispatchGroup(const FetchedGroup &g, Cycle now)
             e.size = ev.size;
             _ctx.ms.afile.writeExecuted(in.dst, e.dstVal, id, e.readyAt,
                                      PendingKind::kLoad);
-            ff_trace(trace::kApipe, now, "A-LOAD",
-                     "@" << i << " id " << id << " ["
-                         << std::hex << ev.addr << std::dec << "] "
-                         << memory::memLevelName(ar.level) << " ready@"
-                         << e.readyAt);
         } else if (in.isStore()) {
             ++_ctx.stats.storesInA;
             _ctx.sbuf.insert(id, ev.addr, ev.size, ev.storeVal);
@@ -236,9 +225,6 @@ APipe::dispatchGroup(const FetchedGroup &g, Cycle now)
                              memory::Initiator::kApipe, ev.addr, now);
             e.addr = ev.addr;
             e.size = ev.size;
-            ff_trace(trace::kApipe, now, "A-STORE",
-                     "@" << i << " id " << id << " [" << std::hex
-                         << ev.addr << std::dec << "] buffered");
         } else {
             const unsigned lat = in.execLatency();
             e.readyAt = now + lat;

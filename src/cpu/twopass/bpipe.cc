@@ -1,6 +1,5 @@
 #include "cpu/twopass/bpipe.hh"
 
-#include "common/trace.hh"
 #include "cpu/exec.hh"
 #include "cpu/scoreboard.hh"
 
@@ -109,9 +108,6 @@ BPipe::step(Cycle now, RunResult &res)
         if (cq.preExecuted(k) && cq.isLoad(k) && cq.predTrue(k) &&
             !_ctx.alat.check(cq.id(k))) {
             ++_ctx.stats.storeConflictFlushes;
-            ff_trace(trace::kFlush, now, "CONFLICT",
-                     "load id " << cq.id(k) << " @" << cq.idx(k)
-                                << " lost its ALAT entry");
             conflictFlush(cq.entry(k), now);
             return CycleClass::kFrontEndStall;
         }
@@ -205,9 +201,6 @@ BPipe::applyWindow(const RetireWindow &w, Cycle now, RunResult &res)
                     _ctx.ms.regs.write(in.dst, ev.dstVal);
                     _ctx.ms.sb.setPending(in.dst, now + ar.latency,
                                           PendingKind::kLoad);
-                    ff_trace(trace::kBpipe, now, "B-LOAD",
-                             "@" << cq.idx(k) << " id " << id << " "
-                                 << memory::memLevelName(ar.level));
                 } else {
                     ++_ctx.stats.storesInB;
                     _ctx.mem.write(ev.addr, ev.storeVal, ev.size);
@@ -273,8 +266,6 @@ BPipe::bDetFlush(const CqEntry &branch, bool taken, Cycle now)
     _ctx.ms.aHalted = false;
     if (_ctx.ms.observer != nullptr)
         _ctx.ms.observer->onFlush(now, FlushKind::kBDet, target);
-    ff_trace(trace::kFlush, now, "B-DET",
-             "mispredict id " << branch.id << " -> @" << target);
 }
 
 void

@@ -1,7 +1,5 @@
 #include "cpu/twopass/feedback.hh"
 
-#include "common/trace.hh"
-
 namespace ff
 {
 namespace cpu
@@ -33,9 +31,6 @@ FeedbackPath::apply(Cycle now)
                     now, f.id,
                     static_cast<unsigned>(regSlot(f.reg)));
             }
-            ff_trace(trace::kFeedback, now, "FEEDBK",
-                     isa::regName(f.reg) << " <- " << f.value << " (id "
-                                         << f.id << ")");
         } else {
             ++_stats.feedbackDropped;
         }

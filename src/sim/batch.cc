@@ -11,7 +11,6 @@
 #include "common/engine_trace.hh"
 #include "common/logging.hh"
 #include "common/thread_pool.hh"
-#include "common/trace.hh"
 #include "sim/result_cache.hh"
 #include "sim/snapshot.hh"
 
@@ -145,11 +144,6 @@ runSampledBatch(std::span<const SimJob> jobs, unsigned threads)
     }
 
     const unsigned n = resolveJobs(threads);
-    ff_trace(trace::kEngine, 0, "BATCH",
-             jobs.size() << " jobs (sampled): "
-                         << (jobs.size() - pending.size())
-                         << " cached, " << groups.size()
-                         << " checkpoint plans, " << n << " threads");
 
     // ---- phase A: one checkpoint pass per plan group ---------------
     auto plan_one = [&](std::size_t g) {
@@ -249,8 +243,6 @@ runBatch(std::span<const SimJob> jobs, unsigned threads)
     };
 
     const unsigned n = resolveJobs(threads);
-    ff_trace(trace::kEngine, 0, "BATCH",
-             "run " << jobs.size() << " jobs on " << n << " threads");
     if (n <= 1 || jobs.size() == 1) {
         for (std::size_t i = 0; i < jobs.size(); ++i)
             run_one(i);
@@ -390,11 +382,6 @@ runForkedBatch(std::span<const SimJob> jobs, const SweepOptions &opts)
     }
 
     const unsigned n = resolveJobs(opts.threads);
-    ff_trace(trace::kEngine, 0, "SWEEP",
-             jobs.size() << " cells: "
-                         << (jobs.size() - pending.size())
-                         << " cached, " << groups.size()
-                         << " warm-up groups, " << n << " threads");
 
     // ---- phase A: one shared warm-up per group ---------------------
     auto warm_one = [&](std::size_t g) {

@@ -27,6 +27,23 @@ constexpr std::uint32_t kTextTag = serial::tag("TEXT");
 constexpr std::uint32_t kEventTag = serial::tag("EVNT");
 constexpr std::uint32_t kEngineTag = serial::tag("ENGS");
 
+/** Exclusive bound of an event's @c a payload: the size of the enum
+ *  it carries for defer, flush and cycle-class events. */
+unsigned
+payloadBound(cpu::PipeEventKind k)
+{
+    switch (k) {
+      case cpu::PipeEventKind::kDefer:
+        return cpu::kNumDeferReasons;
+      case cpu::PipeEventKind::kFlush:
+        return cpu::kNumFlushKinds;
+      case cpu::PipeEventKind::kCycleClass:
+        return cpu::kNumCycleClasses;
+      default:
+        return 256; // unused by the other kinds
+    }
+}
+
 } // namespace
 
 PipeTrace
@@ -170,6 +187,8 @@ decodePipeTrace(const std::vector<std::uint8_t> &bytes, PipeTrace &out)
         e.kind = static_cast<cpu::PipeEventKind>(k);
         e.a = r.u8();
         e.b = r.u16();
+        if (e.a >= payloadBound(e.kind))
+            return false;
         out.events.push_back(e);
     }
 

@@ -13,7 +13,6 @@
 #include "common/engine_trace.hh"
 #include "common/hash.hh"
 #include "common/serialize.hh"
-#include "common/trace.hh"
 #include "sim/snapshot.hh"
 
 namespace ff
@@ -334,7 +333,6 @@ resultCacheLookup(const std::string &key, SimOutcome &out)
     if (!in) {
         ++g_misses;
         engine::traceInstant("cache-miss");
-        ff_trace(trace::kEngine, 0, "CACHE", "miss " << key);
         return false;
     }
     const std::vector<std::uint8_t> bytes(
@@ -350,12 +348,10 @@ resultCacheLookup(const std::string &key, SimOutcome &out)
         ++g_errors;
         ++g_misses;
         engine::traceInstant("cache-miss");
-        ff_trace(trace::kEngine, 0, "CACHE", "corrupt " << key);
         return false;
     }
     ++g_hits;
     engine::traceInstant("cache-hit");
-    ff_trace(trace::kEngine, 0, "CACHE", "hit " << key);
     return true;
 }
 

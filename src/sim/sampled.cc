@@ -1,9 +1,6 @@
 #include "sim/sampled.hh"
 
-#include <chrono>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <memory>
 
 #include "common/engine_trace.hh"
@@ -147,16 +144,6 @@ measureInterval(const isa::Program &prog, CpuKind kind,
     const SampledOptions &opts = plan.opts;
     const SampledCheckpoint &cp = plan.checkpoints[index];
     const bool prefix = index == 0;
-    const bool dbg2 = std::getenv("FF_SAMPLE_DEBUG2") != nullptr;
-    auto tick = std::chrono::steady_clock::now();
-    auto lap = [&tick]() {
-        const auto now = std::chrono::steady_clock::now();
-        const auto us = std::chrono::duration_cast<
-                            std::chrono::microseconds>(now - tick)
-                            .count();
-        tick = now;
-        return static_cast<long long>(us);
-    };
     // Interval 0 is the exact cold-start prefix: a plain cold model
     // measured from the entry for one whole stratum, so the sharply
     // decaying startup transient is accounted exactly instead of
@@ -172,12 +159,10 @@ measureInterval(const isa::Program &prog, CpuKind kind,
     // copy).
     const std::unique_ptr<cpu::CpuModel> model =
         cpu::makeModel(kind, prog, cfg, /*load_image=*/prefix);
-    const long long t_make = lap();
     if (!prefix) {
         model->warpArchState(cp.regs, cp.mem, cp.pc);
         model->warmMicroArch(cp.warm);
     }
-    const long long t_warm = lap();
 
     IntervalMeasure m;
     cpu::RunResult pre;
@@ -221,13 +206,6 @@ measureInterval(const isa::Program &prog, CpuKind kind,
         run = model->run(budget);
     }
 
-    if (dbg2) {
-        std::fprintf(stderr,
-                     "[sample] make=%lld warm=%lld run=%lld "
-                     "us, simcycles=%llu\n",
-                     t_make, t_warm, lap(),
-                     static_cast<unsigned long long>(run.cycles));
-    }
     m.cycles = run.cycles - pre.cycles;
     m.insts = run.instsRetired - pre.instsRetired;
     m.groups = run.groupsRetired - pre.groupsRetired;
@@ -267,21 +245,8 @@ stitchSampled(CpuKind kind, const SampledPlan &plan,
     std::array<std::uint64_t, cpu::kNumCycleClasses> prefix_classes{};
     std::array<std::uint64_t, cpu::kNumCycleClasses> rest_classes{};
     std::uint64_t rest_cycles = 0;
-    const bool dbg = std::getenv("FF_SAMPLE_DEBUG") != nullptr;
     for (std::size_t i = 0; i < measures.size(); ++i) {
         const IntervalMeasure &m = measures[i];
-        if (dbg) {
-            std::fprintf(stderr,
-                         "[sample] window cycles=%llu insts=%llu "
-                         "cpi=%.3f halted=%d%s\n",
-                         static_cast<unsigned long long>(m.cycles),
-                         static_cast<unsigned long long>(m.insts),
-                         m.insts > 0 ? static_cast<double>(m.cycles) /
-                                           static_cast<double>(m.insts)
-                                     : 0.0,
-                         m.halted ? 1 : 0,
-                         i == 0 ? " (prefix)" : "");
-        }
         est->sampledCycles += m.cycles;
         est->sampledInsts += m.insts;
         if (i == 0) {
@@ -414,24 +379,11 @@ simulateSampled(const isa::Program &prog, CpuKind kind,
                 "simulateSampled() without --sample parameters");
     verifyProgram(prog, cfg.limits);
 
-    const bool dbg = std::getenv("FF_SAMPLE_DEBUG") != nullptr;
-    const auto t0 = std::chrono::steady_clock::now();
     const SampledPlan plan = sampledCheckpointPass(prog, opts);
-    const auto t1 = std::chrono::steady_clock::now();
 
     std::vector<IntervalMeasure> measures(plan.checkpoints.size());
     auto measure_one = [&](std::size_t i) {
-        const auto mt0 = std::chrono::steady_clock::now();
         measures[i] = measureInterval(prog, kind, cfg, plan, i);
-        if (std::getenv("FF_SAMPLE_DEBUG2") != nullptr) {
-            const auto mt1 = std::chrono::steady_clock::now();
-            std::fprintf(stderr, "[sample] interval %zu total=%lldus\n",
-                         i,
-                         static_cast<long long>(
-                             std::chrono::duration_cast<
-                                 std::chrono::microseconds>(mt1 - mt0)
-                                 .count()));
-        }
     };
     const unsigned n = resolveJobs(threads);
     if (n <= 1 || plan.checkpoints.size() <= 1) {
@@ -440,20 +392,6 @@ simulateSampled(const isa::Program &prog, CpuKind kind,
     } else {
         ThreadPool pool(n);
         pool.parallelFor(plan.checkpoints.size(), measure_one);
-    }
-    if (dbg) {
-        const auto t2 = std::chrono::steady_clock::now();
-        const auto us = [](auto a, auto b) {
-            return std::chrono::duration_cast<
-                       std::chrono::microseconds>(b - a)
-                .count();
-        };
-        std::fprintf(stderr,
-                     "[sample] plan=%lldus replay=%lldus "
-                     "intervals=%zu\n",
-                     static_cast<long long>(us(t0, t1)),
-                     static_cast<long long>(us(t1, t2)),
-                     plan.checkpoints.size());
     }
     return stitchSampled(kind, plan, measures);
 }

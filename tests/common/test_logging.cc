@@ -1,9 +1,8 @@
-/** @file Unit tests for error reporting and trace capture. */
+/** @file Unit tests for error reporting. */
 
 #include <gtest/gtest.h>
 
 #include "common/logging.hh"
-#include "common/trace.hh"
 
 namespace
 {
@@ -41,50 +40,6 @@ TEST(Logging, WarnAndInformDoNotTerminate)
     ff_warn("just a warning ", 1);
     ff_inform("status ", 2);
     SUCCEED();
-}
-
-TEST(Trace, DisabledByDefaultCategory)
-{
-    ff::trace::disable();
-    EXPECT_FALSE(ff::trace::enabled(ff::trace::kMem));
-}
-
-TEST(Trace, EnableIsBitwise)
-{
-    ff::trace::disable();
-    ff::trace::enable(ff::trace::kMem | ff::trace::kFetch);
-    EXPECT_TRUE(ff::trace::enabled(ff::trace::kMem));
-    EXPECT_TRUE(ff::trace::enabled(ff::trace::kFetch));
-    EXPECT_FALSE(ff::trace::enabled(ff::trace::kBranch));
-    ff::trace::disable();
-}
-
-TEST(Trace, CaptureBuffersLines)
-{
-    ff::trace::disable();
-    ff::trace::enable(ff::trace::kExec);
-    ff::trace::captureToBuffer(true);
-    ff_trace(ff::trace::kExec, 123, "TAG", "hello " << 7);
-    ff_trace(ff::trace::kBranch, 124, "NOPE", "filtered");
-    const std::string buf = ff::trace::takeBuffer();
-    ff::trace::captureToBuffer(false);
-    ff::trace::disable();
-
-    EXPECT_NE(buf.find("hello 7"), std::string::npos);
-    EXPECT_NE(buf.find("123"), std::string::npos);
-    EXPECT_NE(buf.find("TAG"), std::string::npos);
-    EXPECT_EQ(buf.find("filtered"), std::string::npos);
-}
-
-TEST(Trace, TakeBufferClears)
-{
-    ff::trace::enable(ff::trace::kExec);
-    ff::trace::captureToBuffer(true);
-    ff_trace(ff::trace::kExec, 1, "T", "x");
-    (void)ff::trace::takeBuffer();
-    EXPECT_TRUE(ff::trace::takeBuffer().empty());
-    ff::trace::captureToBuffer(false);
-    ff::trace::disable();
 }
 
 } // namespace

@@ -3,7 +3,7 @@
  * Tests of the core-kernel layer: the model factory (the single
  * construction path and its 2Pre regroup override) and the
  * CoreObserver seam (event counts agree with the run's own results
- * and the model's statistics, across models, via TraceObserver).
+ * and the model's statistics, across models).
  */
 
 #include <gtest/gtest.h>
@@ -14,7 +14,6 @@
 
 #include "cpu/core/core_base.hh"
 #include "cpu/core/model_factory.hh"
-#include "cpu/core/trace_observer.hh"
 #include "cpu/functional/functional_cpu.hh"
 #include "cpu/model_stats.hh"
 #include "workloads/workload.hh"
@@ -24,6 +23,29 @@ namespace
 
 using namespace ff;
 using namespace ff::cpu;
+
+/** Counts the observer events the seam tests cross-check. */
+struct CountingObserver : CoreObserver
+{
+    std::uint64_t cycles = 0;
+    std::uint64_t groupRetires = 0;
+    std::uint64_t slotsRetired = 0;
+    std::uint64_t defers = 0;
+    std::uint64_t flushes = 0;
+
+    void onCycle(Cycle, CycleClass) override { ++cycles; }
+
+    void
+    onGroupRetire(Cycle, InstIdx, unsigned slots) override
+    {
+        ++groupRetires;
+        slotsRetired += slots;
+    }
+
+    void onDefer(Cycle, InstIdx, DynId, DeferReason) override { ++defers; }
+
+    void onFlush(Cycle, FlushKind, InstIdx) override { ++flushes; }
+};
 
 TEST(ModelFactory, KindNamesAreTheFigure6Spellings)
 {
@@ -152,7 +174,7 @@ TEST(NameTables, DeferReasonNamesAreTheSchemaSpellings)
 }
 
 /**
- * Attaches a TraceObserver to each model through the CoreBase seam
+ * Attaches a CountingObserver to each model through the CoreBase seam
  * and cross-checks the event counts against the run result and the
  * model's own statistics. This pins the hook-site contract: one
  * onCycle per simulated cycle, slot counts that match retirement,
@@ -165,32 +187,32 @@ TEST(CoreObserverSeam, CountsAgreeWithRunResultsAcrossModels)
 
     for (unsigned k = 0; k < kNumCpuKinds; ++k) {
         const CpuKind kind = static_cast<CpuKind>(k);
-        TraceObserver obs;
+        CountingObserver obs;
         auto model = makeModel(kind, w.program, CoreConfig());
         model->asCoreBase()->setObserver(&obs);
         const RunResult r = model->run(20'000'000);
         ASSERT_TRUE(r.halted) << cpuKindName(kind);
 
-        EXPECT_EQ(obs.counts().cycles, r.cycles) << cpuKindName(kind);
+        EXPECT_EQ(obs.cycles, r.cycles) << cpuKindName(kind);
         // The baseline reports whole groups even when a halt cuts the
         // slot walk short, so slots may exceed retires; never fewer.
-        EXPECT_GE(obs.counts().slotsRetired, r.instsRetired)
+        EXPECT_GE(obs.slotsRetired, r.instsRetired)
             << cpuKindName(kind);
-        EXPECT_GE(obs.counts().groupRetires, 1u) << cpuKindName(kind);
+        EXPECT_GE(obs.groupRetires, 1u) << cpuKindName(kind);
 
         ModelStats ms;
         model->collectStats(ms);
         if (kind == CpuKind::kTwoPass ||
             kind == CpuKind::kTwoPassRegroup) {
-            EXPECT_EQ(obs.counts().defers, ms.twopass.deferred)
+            EXPECT_EQ(obs.defers, ms.twopass.deferred)
                 << cpuKindName(kind);
-            EXPECT_EQ(obs.counts().flushes,
+            EXPECT_EQ(obs.flushes,
                       ms.twopass.bDetMispredicts +
                           ms.twopass.storeConflictFlushes)
                 << cpuKindName(kind);
         } else {
-            EXPECT_EQ(obs.counts().defers, 0u) << cpuKindName(kind);
-            EXPECT_EQ(obs.counts().flushes, 0u) << cpuKindName(kind);
+            EXPECT_EQ(obs.defers, 0u) << cpuKindName(kind);
+            EXPECT_EQ(obs.flushes, 0u) << cpuKindName(kind);
         }
     }
 }
@@ -199,15 +221,15 @@ TEST(CoreObserverSeam, CountsAgreeWithRunResultsAcrossModels)
 TEST(CoreObserverSeam, DetachStopsEventDelivery)
 {
     const workloads::Workload w = workloads::buildWorkload("130.li", 3);
-    TraceObserver obs;
+    CountingObserver obs;
     auto model = makeModel(CpuKind::kTwoPass, w.program, CoreConfig());
     CoreBase &core = *model->asCoreBase();
     core.setObserver(&obs);
     core.setObserver(nullptr);
     ASSERT_TRUE(model->run(20'000'000).halted);
-    EXPECT_EQ(obs.counts().cycles, 0u);
-    EXPECT_EQ(obs.counts().groupRetires, 0u);
-    EXPECT_EQ(obs.counts().defers, 0u);
+    EXPECT_EQ(obs.cycles, 0u);
+    EXPECT_EQ(obs.groupRetires, 0u);
+    EXPECT_EQ(obs.defers, 0u);
 }
 
 } // namespace

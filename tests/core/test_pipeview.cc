@@ -9,8 +9,12 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "cpu/core/pipeview_observer.hh"
+#include "sim/harness.hh"
 #include "sim/pipe_trace.hh"
+#include "workloads/workload.hh"
 
 namespace
 {
@@ -286,6 +290,112 @@ TEST(PipeTraceFormat, RejectsBadMagicVersionAndEnums)
     bad = bytes;
     bad.push_back(0);
     EXPECT_FALSE(sim::decodePipeTrace(bad, out));
+
+    // An enum payload past its enum fails the whole decode, while the
+    // last value of each enum still decodes.
+    const struct
+    {
+        PipeEventKind kind;
+        std::uint8_t bad;
+        unsigned count;
+    } payloads[] = {
+        {PipeEventKind::kDefer, 200, cpu::kNumDeferReasons},
+        {PipeEventKind::kFlush, 5, cpu::kNumFlushKinds},
+        {PipeEventKind::kCycleClass, 99, cpu::kNumCycleClasses},
+    };
+    for (const auto &p : payloads) {
+        sim::PipeTrace t = sampleTrace();
+        t.events.push_back(ev(p.kind, 10, 0, 0, p.bad));
+        EXPECT_FALSE(sim::decodePipeTrace(sim::encodePipeTrace(t), out))
+            << cpu::pipeEventKindName(p.kind);
+        t.events.back().a = static_cast<std::uint8_t>(p.count - 1);
+        EXPECT_TRUE(sim::decodePipeTrace(sim::encodePipeTrace(t), out))
+            << cpu::pipeEventKindName(p.kind);
+    }
+}
+
+/** The name a renderer prints for an event's enum payload, or
+ *  nullptr for kinds whose @c a carries none. */
+const char *
+payloadName(const PipeEvent &e)
+{
+    switch (e.kind) {
+      case PipeEventKind::kDefer:
+        return cpu::deferReasonName(static_cast<cpu::DeferReason>(e.a));
+      case PipeEventKind::kFlush:
+        return cpu::flushKindName(static_cast<cpu::FlushKind>(e.a));
+      case PipeEventKind::kCycleClass:
+        return cpu::cycleClassName(static_cast<cpu::CycleClass>(e.a));
+      default:
+        return nullptr;
+    }
+}
+
+/** True when every enum and index payload of @p t names something:
+ *  no renderer falls back to "?" or indexes past a table. */
+bool
+payloadsInRange(const sim::PipeTrace &t)
+{
+    if (std::string(cpu::cpuKindName(t.kind)) == "?")
+        return false;
+    for (const PipeEvent &e : t.events) {
+        if (std::string(cpu::pipeEventKindName(e.kind)) == "?")
+            return false;
+        const char *name = payloadName(e);
+        if (name != nullptr && std::string(name) == "?")
+            return false;
+    }
+    for (const engine::TraceSpan &s : t.engine.spans) {
+        if (s.name >= t.engine.names.size() ||
+            s.lane >= t.engine.lanes.size()) {
+            return false;
+        }
+    }
+    return true;
+}
+
+TEST(PipeTraceFormat, SingleByteMutantsFailOrDecodeInRange)
+{
+    // A real two-pass trace next to the hand-built one: its event
+    // section carries every payload the observer emits on mcf.
+    const workloads::Workload w = workloads::buildWorkload("181.mcf", 3);
+    const cpu::CoreConfig cfg = sim::table1Config();
+    sim::MetricsOptions mopt;
+    mopt.pipeview = true;
+    mopt.pipeviewMaxEvents = 64;
+    const sim::SimOutcome run =
+        sim::simulate(w.program, sim::CpuKind::kTwoPass, cfg,
+                      sim::kDefaultMaxCycles, mopt);
+    ASSERT_NE(run.metrics, nullptr);
+    const sim::PipeTrace mcf = sim::buildPipeTrace(
+        w.program, cfg, sim::CpuKind::kTwoPass, run.run.cycles,
+        run.metrics->pipeEvents, run.metrics->pipeDropped, "181.mcf");
+    ASSERT_EQ(mcf.events.size(), 64u);
+
+    // Flip the low bit, the high bit and every bit of each byte in
+    // turn. A mutant must be rejected, or decode to payloads that all
+    // name something and render without fault (the sanitizer build
+    // runs this test too).
+    for (const sim::PipeTrace &t : {sampleTrace(), mcf}) {
+        const std::vector<std::uint8_t> bytes = sim::encodePipeTrace(t);
+        std::size_t decoded = 0;
+        for (std::size_t i = 0; i < bytes.size(); ++i) {
+            for (const unsigned mask : {0x01u, 0x80u, 0xffu}) {
+                std::vector<std::uint8_t> bad = bytes;
+                bad[i] ^= static_cast<std::uint8_t>(mask);
+                sim::PipeTrace out;
+                if (!sim::decodePipeTrace(bad, out))
+                    continue;
+                ++decoded;
+                ASSERT_TRUE(payloadsInRange(out))
+                    << t.programName << ": byte " << i << " ^ " << mask;
+                sim::buildPipeLifetimes(out.events);
+                sim::renderPipeView(out);
+                sim::pipeTraceToChromeJson(out);
+            }
+        }
+        EXPECT_GT(decoded, 0u) << t.programName;
+    }
 }
 
 // ---- rendering -----------------------------------------------------

@@ -20,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "cli_number.hh"
 #include "sim/pipe_trace.hh"
 
 using namespace ff;
@@ -111,13 +112,11 @@ main(int argc, char **argv)
         if (a == "--help" || a == "-h") {
             usage(argv[0], 0);
         } else if (a == "--rows") {
-            rows = static_cast<unsigned>(
-                std::strtoul(value(), nullptr, 0));
+            rows = cli::parseNumber<unsigned>(a, value());
         } else if (a == "--from") {
-            from_id = std::strtoull(value(), nullptr, 0);
+            from_id = cli::parseNumber<std::uint64_t>(a, value());
         } else if (a == "--width") {
-            width = static_cast<unsigned>(
-                std::strtoul(value(), nullptr, 0));
+            width = cli::parseNumber<unsigned>(a, value());
         } else if (a == "--json") {
             json_out = value();
         } else if (a == "--summary") {

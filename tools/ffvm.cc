@@ -29,8 +29,8 @@
 
 #include "analysis/ffcheck.hh"
 #include "analysis/memdep.hh"
+#include "cli_number.hh"
 #include "common/engine_trace.hh"
-#include "common/trace.hh"
 #include "compiler/scheduler.hh"
 #include "cpu/functional/functional_cpu.hh"
 #include "isa/assembler.hh"
@@ -81,9 +81,6 @@ constexpr FlagSpec kFlags[] = {
      "print the (scheduled) program and exit"},
     {"--stats", ArgKind::kNone, nullptr,
      "print the model's full statistics dump"},
-    {"--trace", ArgKind::kRequired, "CATS",
-     "comma list: fetch,issue,exec,mem,branch,apipe,bpipe,flush,"
-     "feedback,core,engine,all"},
     {"--max-cycles", ArgKind::kRequired, "N",
      "simulation budget (default 400M)"},
     {"--sample", ArgKind::kRequired, "INTERVAL[:DETAIL[:WARMUP]]",
@@ -176,31 +173,6 @@ dumpFlags()
     std::exit(0);
 }
 
-std::uint32_t
-traceMask(const std::string &cats)
-{
-    std::uint32_t mask = 0;
-    std::istringstream in(cats);
-    std::string tok;
-    while (std::getline(in, tok, ',')) {
-        if (tok == "fetch") mask |= trace::kFetch;
-        else if (tok == "issue") mask |= trace::kIssue;
-        else if (tok == "exec") mask |= trace::kExec;
-        else if (tok == "mem") mask |= trace::kMem;
-        else if (tok == "branch") mask |= trace::kBranch;
-        else if (tok == "apipe") mask |= trace::kApipe;
-        else if (tok == "bpipe") mask |= trace::kBpipe;
-        else if (tok == "flush") mask |= trace::kFlush;
-        else if (tok == "feedback") mask |= trace::kFeedback;
-        else if (tok == "core") mask |= trace::kCore;
-        else if (tok == "engine") mask |= trace::kEngine;
-        else if (tok == "all") mask |= trace::kAll;
-        else
-            ff_fatal("unknown trace category '", tok, "'");
-    }
-    return mask;
-}
-
 } // namespace
 
 int
@@ -216,7 +188,7 @@ main(int argc, char **argv)
     bool do_schedule = false, do_disasm = false, do_stats = false;
     bool sched_alias = false;
     bool do_verify = false, verify_strict = false;
-    bool do_profile = false, do_trace = false;
+    bool do_profile = false;
     bool do_pipeview = false;
     unsigned profile_k = 20;
     unsigned pipeview_rows = 32;
@@ -261,10 +233,7 @@ main(int argc, char **argv)
             v = argv[++i];
             has_value = true;
         }
-        auto num = [&]() -> unsigned {
-            return static_cast<unsigned>(
-                std::strtoul(v.c_str(), nullptr, 0));
-        };
+        auto num = [&]() { return cli::parseNumber<unsigned>(name, v); };
 
         const std::string n = name;
         if (n == "--help") {
@@ -276,8 +245,7 @@ main(int argc, char **argv)
         } else if (n == "--workload") {
             workload = v;
         } else if (n == "--scale") {
-            scale = static_cast<int>(
-                std::strtol(v.c_str(), nullptr, 0));
+            scale = cli::parseNumber<int>(name, v);
         } else if (n == "--schedule") {
             do_schedule = true;
         } else if (n == "--sched-alias") {
@@ -309,11 +277,8 @@ main(int argc, char **argv)
             trace_out = v;
         } else if (n == "--cache-dir") {
             sim::setResultCacheDir(v);
-        } else if (n == "--trace") {
-            do_trace = true;
-            trace::enable(traceMask(v));
         } else if (n == "--max-cycles") {
-            max_cycles = std::strtoull(v.c_str(), nullptr, 0);
+            max_cycles = cli::parseNumber<std::uint64_t>(name, v);
         } else if (n == "--sample") {
             char *end = nullptr;
             sopt.intervalCycles = std::strtoull(v.c_str(), &end, 0);
@@ -381,11 +346,11 @@ main(int argc, char **argv)
     // stays legal with --sample: the document then carries the
     // "sampled" estimator section instead of profile/telemetry data.
     ff_fatal_if(sopt.enabled() &&
-                    (do_stats || do_trace || do_profile ||
-                     do_pipeview || !trace_out.empty()),
-                "--sample is incompatible with --stats/--trace/"
-                "--profile/--pipeview/--trace-out (those need a full "
-                "detailed run)");
+                    (do_stats || do_profile || do_pipeview ||
+                     !trace_out.empty()),
+                "--sample is incompatible with --stats/--profile/"
+                "--pipeview/--trace-out (those need a full detailed "
+                "run)");
     mopt.profile =
         do_profile || (!metrics_out.empty() && !sopt.enabled());
     mopt.telemetry = !metrics_out.empty() && !sopt.enabled();
@@ -550,10 +515,10 @@ main(int argc, char **argv)
         return out.run.halted ? 0 : 1;
     }
 
-    // A plain timed run (no stats dump, trace, or metrics — nothing
-    // that needs the live model) can be answered from the result
-    // cache; a miss simulates and backfills it.
-    if (!do_stats && !do_trace && !mopt.enabled()) {
+    // A plain timed run (no stats dump or metrics — nothing that
+    // needs the live model) can be answered from the result cache; a
+    // miss simulates and backfills it.
+    if (!do_stats && !mopt.enabled()) {
         sim::SimJob job;
         job.program = &prog;
         job.kind = kind;
