@@ -57,7 +57,7 @@ BimodalPredictor::save(serial::Writer &w) const
 {
     w.u64(_table.size());
     w.bytes(_table.data(), _table.size());
-    saveStats(w);
+    saveStats(w, _stats);
 }
 
 void
@@ -68,7 +68,7 @@ BimodalPredictor::restore(serial::Reader &r)
         return;
     }
     r.bytes(_table.data(), _table.size());
-    restoreStats(r);
+    restoreStats(r, _stats);
 }
 
 // ---------------------------------------------------------------------
@@ -152,7 +152,7 @@ TournamentPredictor::save(serial::Writer &w) const
     _bimodal.save(w);
     w.u64(_chooser.size());
     w.bytes(_chooser.data(), _chooser.size());
-    saveStats(w);
+    saveStats(w, _stats);
 }
 
 void
@@ -165,7 +165,7 @@ TournamentPredictor::restore(serial::Reader &r)
         return;
     }
     r.bytes(_chooser.data(), _chooser.size());
-    restoreStats(r);
+    restoreStats(r, _stats);
 }
 
 // ---------------------------------------------------------------------

@@ -61,7 +61,7 @@ GsharePredictor::save(serial::Writer &w) const
     w.u64(_table.size());
     w.bytes(_table.data(), _table.size());
     w.u64(_history);
-    saveStats(w);
+    saveStats(w, _stats);
 }
 
 void
@@ -73,7 +73,7 @@ GsharePredictor::restore(serial::Reader &r)
     }
     r.bytes(_table.data(), _table.size());
     _history = r.u64();
-    restoreStats(r);
+    restoreStats(r, _stats);
 }
 
 } // namespace branch

@@ -32,6 +32,25 @@ struct PredictorStats
 };
 
 /**
+ * Writes both PredictorStats counters to @p w: the one encoding
+ * shared by predictor snapshots and result-cache entries.
+ */
+inline void
+saveStats(serial::Writer &w, const PredictorStats &s)
+{
+    w.u64(s.lookups);
+    w.u64(s.mispredicts);
+}
+
+/** Reads back what saveStats() wrote for a PredictorStats. */
+inline void
+restoreStats(serial::Reader &r, PredictorStats &s)
+{
+    s.lookups = r.u64();
+    s.mispredicts = r.u64();
+}
+
+/**
  * Token returned at predict time and surrendered at resolve time.
  * Components unused by a given predictor stay zero.
  */
@@ -113,20 +132,6 @@ class DirectionPredictor
     }
 
   protected:
-    void
-    saveStats(serial::Writer &w) const
-    {
-        w.u64(_stats.lookups);
-        w.u64(_stats.mispredicts);
-    }
-
-    void
-    restoreStats(serial::Reader &r)
-    {
-        _stats.lookups = r.u64();
-        _stats.mispredicts = r.u64();
-    }
-
     PredictorStats _stats;
 };
 

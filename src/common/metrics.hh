@@ -96,9 +96,7 @@ class Counter
 
 /**
  * Fixed-bucket histogram over [min, max) with uniform bucket width;
- * out-of-range samples land in underflow/overflow. Mirrors
- * stats::Distribution but lives below it so the metrics layer stays
- * free of the logging dependency and exports natively to JSON.
+ * out-of-range samples land in underflow/overflow.
  */
 class Histogram
 {

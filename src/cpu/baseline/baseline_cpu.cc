@@ -2,7 +2,6 @@
 
 #include <vector>
 
-#include "common/stats.hh"
 #include "cpu/exec.hh"
 #include "cpu/issue_check.hh"
 #include "cpu/stats_report.hh"
@@ -131,14 +130,13 @@ BaselineCpu::tryIssue(Cycle now, RunResult &res)
 std::string
 BaselineCpu::statsReport() const
 {
-    stats::StatGroup g("baseline");
-    g.addScalar("loads_issued") += _stats.loadsIssued;
-    g.addScalar("stores_issued") += _stats.storesIssued;
-    g.addScalar("branches_retired") += _stats.branchesRetired;
-    g.addScalar("mispredicts") += _stats.mispredicts;
     return commonStatsReport(_acct, _pred->stats(),
                              _hier.accessStats()) +
-           g.dump();
+           statLines("baseline",
+                     {{"loads_issued", _stats.loadsIssued},
+                      {"stores_issued", _stats.storesIssued},
+                      {"branches_retired", _stats.branchesRetired},
+                      {"mispredicts", _stats.mispredicts}});
 }
 
 void

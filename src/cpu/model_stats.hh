@@ -12,6 +12,7 @@
 #include <array>
 #include <cstdint>
 
+#include "common/serialize.hh"
 #include "memory/alat.hh"
 
 namespace ff
@@ -39,8 +40,6 @@ enum class DeferReason : std::uint8_t
                            ///< partial replication)
 };
 inline constexpr unsigned kNumDeferReasons = 7;
-/** Alias kept for the histogram declaration below. */
-inline constexpr unsigned kNumDeferReasonsStats = kNumDeferReasons;
 
 /**
  * Stable snake_case name of @p r, used by the statsReport dump, the
@@ -56,7 +55,7 @@ struct TwoPassStats
     std::uint64_t dispatched = 0;     ///< instructions entering the CQ
     std::uint64_t preExecuted = 0;    ///< completed in the A-pipe
     std::uint64_t deferred = 0;       ///< suppressed to the B-pipe
-    std::array<std::uint64_t, kNumDeferReasonsStats> deferredByReason{};
+    std::array<std::uint64_t, kNumDeferReasons> deferredByReason{};
 
     // Memory behaviour.
     std::uint64_t loadsInA = 0;
@@ -87,6 +86,15 @@ struct TwoPassStats
     void reset() { *this = TwoPassStats(); }
 };
 
+/**
+ * Writes every TwoPassStats counter to @p w in declaration order: the
+ * one encoding shared by model snapshots and result-cache entries.
+ */
+void saveStats(serial::Writer &w, const TwoPassStats &s);
+
+/** Reads back what saveStats() wrote for a TwoPassStats. */
+void restoreStats(serial::Reader &r, TwoPassStats &s);
+
 /** Run-ahead-specific counters. */
 struct RunaheadStats
 {
@@ -98,6 +106,15 @@ struct RunaheadStats
 
     void reset() { *this = RunaheadStats(); }
 };
+
+/**
+ * Writes every RunaheadStats counter to @p w in declaration order:
+ * the one encoding shared by model snapshots and result-cache entries.
+ */
+void saveStats(serial::Writer &w, const RunaheadStats &s);
+
+/** Reads back what saveStats() wrote for a RunaheadStats. */
+void restoreStats(serial::Reader &r, RunaheadStats &s);
 
 /**
  * Everything a model can hand the harness beyond the common

@@ -2,7 +2,6 @@
 
 #include <vector>
 
-#include "common/stats.hh"
 #include "cpu/exec.hh"
 #include "cpu/issue_check.hh"
 #include "cpu/stats_report.hh"
@@ -308,15 +307,14 @@ RunaheadCpu::runaheadStep(Cycle now)
 std::string
 RunaheadCpu::statsReport() const
 {
-    stats::StatGroup g("runahead");
-    g.addScalar("episodes") += _raStats.episodes;
-    g.addScalar("runahead_cycles") += _raStats.runaheadCycles;
-    g.addScalar("runahead_loads") += _raStats.runaheadLoads;
-    g.addScalar("runahead_insts") += _raStats.runaheadInsts;
-    g.addScalar("inv_results") += _raStats.invResults;
     return commonStatsReport(_acct, _pred->stats(),
                              _hier.accessStats()) +
-           g.dump();
+           statLines("runahead",
+                     {{"episodes", _raStats.episodes},
+                      {"runahead_cycles", _raStats.runaheadCycles},
+                      {"runahead_loads", _raStats.runaheadLoads},
+                      {"runahead_insts", _raStats.runaheadInsts},
+                      {"inv_results", _raStats.invResults}});
 }
 
 void
@@ -324,11 +322,7 @@ RunaheadCpu::saveModelState(serial::Writer &w) const
 {
     _ms.regs.save(w);
     _ms.sb.save(w);
-    w.u64(_raStats.episodes);
-    w.u64(_raStats.runaheadCycles);
-    w.u64(_raStats.runaheadLoads);
-    w.u64(_raStats.runaheadInsts);
-    w.u64(_raStats.invResults);
+    saveStats(w, _raStats);
 
     w.boolean(_inRunahead);
     w.u64(_raExitAt);
@@ -352,11 +346,7 @@ RunaheadCpu::restoreModelState(serial::Reader &r)
 {
     _ms.regs.restore(r);
     _ms.sb.restore(r);
-    _raStats.episodes = r.u64();
-    _raStats.runaheadCycles = r.u64();
-    _raStats.runaheadLoads = r.u64();
-    _raStats.runaheadInsts = r.u64();
-    _raStats.invResults = r.u64();
+    restoreStats(r, _raStats);
 
     _inRunahead = r.boolean();
     _raExitAt = r.u64();

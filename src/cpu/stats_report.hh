@@ -1,12 +1,14 @@
 /**
  * @file
  * Shared rendering of CPU-model statistics into gem5-style
- * "group.stat value" dumps via the stats::StatGroup registry.
+ * "group.stat value" dumps.
  */
 
 #ifndef FF_CPU_STATS_REPORT_HH
 #define FF_CPU_STATS_REPORT_HH
 
+#include <cstdint>
+#include <map>
 #include <string>
 
 #include "branch/gshare.hh"
@@ -17,6 +19,11 @@ namespace ff
 {
 namespace cpu
 {
+
+/** Renders @p stats as one "group.stat value" line each, in the
+ *  map's (sorted) order. */
+std::string statLines(const char *group,
+                      const std::map<std::string, std::uint64_t> &stats);
 
 /** Cycle classes, branch and per-level access stats common to all
  *  timed models. */

@@ -1,7 +1,6 @@
 #include "cpu/twopass/twopass_cpu.hh"
 
 #include "common/logging.hh"
-#include "common/stats.hh"
 #include "cpu/stats_report.hh"
 
 namespace ff
@@ -35,7 +34,8 @@ TwoPassCpu::tick(Cycle now, RunResult &res)
     const CycleClass cls = _bpipe.step(now, res);
     if (!res.halted)
         _apipe.step(now);
-    _cqDepth.sample(static_cast<std::int64_t>(_ms.cq.size()));
+    _cqDepthSum += _ms.cq.size();
+    ++_cqDepthSamples;
     if (_cfg.selfCheckInterval != 0 &&
         now % _cfg.selfCheckInterval == 0) {
         checkAFileCoherence(now);
@@ -69,115 +69,56 @@ TwoPassCpu::checkAFileCoherence(Cycle now) const
 std::string
 TwoPassCpu::statsReport() const
 {
-    stats::StatGroup g("twopass");
-    g.addScalar("dispatched") += _stats.dispatched;
-    g.addScalar("pre_executed") += _stats.preExecuted;
-    g.addScalar("deferred") += _stats.deferred;
+    std::map<std::string, std::uint64_t> g = {
+        {"dispatched", _stats.dispatched},
+        {"pre_executed", _stats.preExecuted},
+        {"deferred", _stats.deferred},
+        {"loads_in_a", _stats.loadsInA},
+        {"loads_in_b", _stats.loadsInB},
+        {"stores_in_a", _stats.storesInA},
+        {"stores_in_b", _stats.storesInB},
+        {"loads_past_deferred_store", _stats.loadsPastDeferredStore},
+        {"store_conflict_flushes", _stats.storeConflictFlushes},
+        {"store_forwardings", _stats.storeForwardings},
+        {"branches_resolved_a", _stats.branchesResolvedInA},
+        {"branches_resolved_b", _stats.branchesResolvedInB},
+        {"adet_mispredicts", _stats.aDetMispredicts},
+        {"bdet_mispredicts", _stats.bDetMispredicts},
+        {"a_stall_cq_full", _stats.aStallCqFull},
+        {"a_stall_anticipable", _stats.aStallAnticipable},
+        {"a_stall_throttled", _stats.aStallThrottled},
+        {"regrouped_groups", _stats.regroupedGroups},
+        {"feedback_applied", _stats.feedbackApplied},
+        {"feedback_dropped", _stats.feedbackDropped},
+        {"registers_repaired", _stats.registersRepaired},
+    };
     for (unsigned r = 1; r < kNumDeferReasons; ++r) {
-        g.addScalar(std::string("deferred.") +
-                    deferReasonName(static_cast<DeferReason>(r))) +=
+        g[std::string("deferred.") +
+          deferReasonName(static_cast<DeferReason>(r))] =
             _stats.deferredByReason[r];
     }
-    g.addScalar("loads_in_a") += _stats.loadsInA;
-    g.addScalar("loads_in_b") += _stats.loadsInB;
-    g.addScalar("stores_in_a") += _stats.storesInA;
-    g.addScalar("stores_in_b") += _stats.storesInB;
-    g.addScalar("loads_past_deferred_store") +=
-        _stats.loadsPastDeferredStore;
-    g.addScalar("store_conflict_flushes") +=
-        _stats.storeConflictFlushes;
-    g.addScalar("store_forwardings") += _stats.storeForwardings;
-    g.addScalar("branches_resolved_a") += _stats.branchesResolvedInA;
-    g.addScalar("branches_resolved_b") += _stats.branchesResolvedInB;
-    g.addScalar("adet_mispredicts") += _stats.aDetMispredicts;
-    g.addScalar("bdet_mispredicts") += _stats.bDetMispredicts;
-    g.addScalar("a_stall_cq_full") += _stats.aStallCqFull;
-    g.addScalar("a_stall_anticipable") += _stats.aStallAnticipable;
-    g.addScalar("a_stall_throttled") += _stats.aStallThrottled;
-    g.addScalar("regrouped_groups") += _stats.regroupedGroups;
-    g.addScalar("feedback_applied") += _stats.feedbackApplied;
-    g.addScalar("feedback_dropped") += _stats.feedbackDropped;
-    g.addScalar("registers_repaired") += _stats.registersRepaired;
 
-    stats::StatGroup a("alat");
-    a.addScalar("allocations") += _alat.stats().allocations;
-    a.addScalar("store_invalidations") +=
-        _alat.stats().storeInvalidations;
-    a.addScalar("capacity_evictions") +=
-        _alat.stats().capacityEvictions;
-    a.addScalar("checks_passed") += _alat.stats().checksPassed;
-    a.addScalar("checks_failed") += _alat.stats().checksFailed;
-
-    stats::StatGroup q("cq");
-    q.addScalar("mean_depth_x1000") +=
-        static_cast<std::uint64_t>(_cqDepth.mean() * 1000.0);
-    q.addScalar("samples") += _cqDepth.samples();
+    const memory::AlatStats &a = _alat.stats();
+    const double mean_depth =
+        _cqDepthSamples == 0
+            ? 0.0
+            : static_cast<double>(_cqDepthSum) /
+                  static_cast<double>(_cqDepthSamples);
 
     return commonStatsReport(_acct, _pred->stats(),
                              _hier.accessStats()) +
-           g.dump() + a.dump() + q.dump();
+           statLines("twopass", g) +
+           statLines("alat",
+                     {{"allocations", a.allocations},
+                      {"store_invalidations", a.storeInvalidations},
+                      {"capacity_evictions", a.capacityEvictions},
+                      {"checks_passed", a.checksPassed},
+                      {"checks_failed", a.checksFailed}}) +
+           statLines("cq",
+                     {{"mean_depth_x1000",
+                       static_cast<std::uint64_t>(mean_depth * 1000.0)},
+                      {"samples", _cqDepthSamples}});
 }
-
-namespace
-{
-
-void
-saveTwoPassStats(serial::Writer &w, const TwoPassStats &s)
-{
-    w.u64(s.dispatched);
-    w.u64(s.preExecuted);
-    w.u64(s.deferred);
-    for (const std::uint64_t c : s.deferredByReason)
-        w.u64(c);
-    w.u64(s.loadsInA);
-    w.u64(s.loadsInB);
-    w.u64(s.storesInA);
-    w.u64(s.storesInB);
-    w.u64(s.loadsPastDeferredStore);
-    w.u64(s.storeConflictFlushes);
-    w.u64(s.storeForwardings);
-    w.u64(s.branchesResolvedInA);
-    w.u64(s.branchesResolvedInB);
-    w.u64(s.aDetMispredicts);
-    w.u64(s.bDetMispredicts);
-    w.u64(s.aStallCqFull);
-    w.u64(s.aStallAnticipable);
-    w.u64(s.aStallThrottled);
-    w.u64(s.regroupedGroups);
-    w.u64(s.feedbackApplied);
-    w.u64(s.feedbackDropped);
-    w.u64(s.registersRepaired);
-}
-
-void
-restoreTwoPassStats(serial::Reader &r, TwoPassStats &s)
-{
-    s.dispatched = r.u64();
-    s.preExecuted = r.u64();
-    s.deferred = r.u64();
-    for (std::uint64_t &c : s.deferredByReason)
-        c = r.u64();
-    s.loadsInA = r.u64();
-    s.loadsInB = r.u64();
-    s.storesInA = r.u64();
-    s.storesInB = r.u64();
-    s.loadsPastDeferredStore = r.u64();
-    s.storeConflictFlushes = r.u64();
-    s.storeForwardings = r.u64();
-    s.branchesResolvedInA = r.u64();
-    s.branchesResolvedInB = r.u64();
-    s.aDetMispredicts = r.u64();
-    s.bDetMispredicts = r.u64();
-    s.aStallCqFull = r.u64();
-    s.aStallAnticipable = r.u64();
-    s.aStallThrottled = r.u64();
-    s.regroupedGroups = r.u64();
-    s.feedbackApplied = r.u64();
-    s.feedbackDropped = r.u64();
-    s.registersRepaired = r.u64();
-}
-
-} // namespace
 
 void
 TwoPassCpu::saveModelState(serial::Writer &w) const
@@ -197,10 +138,11 @@ TwoPassCpu::saveModelState(serial::Writer &w) const
     for (const InstIdx idx : _ms.conflictRetry())
         w.u32(idx);
 
-    saveTwoPassStats(w, _stats);
+    saveStats(w, _stats);
     _feedback.save(w);
     _apipe.save(w);
-    _cqDepth.save(w);
+    w.u64(_cqDepthSum);
+    w.u64(_cqDepthSamples);
 }
 
 void
@@ -220,10 +162,11 @@ TwoPassCpu::restoreModelState(serial::Reader &r)
     for (std::size_t i = 0; i < retry; ++i)
         _ms.conflictRetryInsert(r.u32());
 
-    restoreTwoPassStats(r, _stats);
+    restoreStats(r, _stats);
     _feedback.restore(r);
     _apipe.restore(r);
-    _cqDepth.restore(r);
+    _cqDepthSum = r.u64();
+    _cqDepthSamples = r.u64();
 }
 
 } // namespace cpu

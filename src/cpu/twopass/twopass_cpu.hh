@@ -19,7 +19,6 @@
 #ifndef FF_CPU_TWOPASS_TWOPASS_CPU_HH
 #define FF_CPU_TWOPASS_TWOPASS_CPU_HH
 
-#include "common/stats.hh"
 #include "cpu/core/core_base.hh"
 #include "cpu/scoreboard.hh"
 #include "cpu/twopass/apipe.hh"
@@ -109,8 +108,10 @@ class TwoPassCpu : public CoreBase
     APipe _apipe;
     BPipe _bpipe;
 
-    /** Per-cycle coupling-queue occupancy (A-pipe lead histogram). */
-    stats::Distribution _cqDepth{0, 257, 16};
+    /** Per-cycle coupling-queue occupancy: its sum and the cycle
+     *  count, for the mean depth statsReport() prints. */
+    std::uint64_t _cqDepthSum = 0;
+    std::uint64_t _cqDepthSamples = 0;
 };
 
 } // namespace cpu

@@ -89,6 +89,26 @@ Alat::clear()
 }
 
 void
+saveStats(serial::Writer &w, const AlatStats &s)
+{
+    w.u64(s.allocations);
+    w.u64(s.storeInvalidations);
+    w.u64(s.capacityEvictions);
+    w.u64(s.checksPassed);
+    w.u64(s.checksFailed);
+}
+
+void
+restoreStats(serial::Reader &r, AlatStats &s)
+{
+    s.allocations = r.u64();
+    s.storeInvalidations = r.u64();
+    s.capacityEvictions = r.u64();
+    s.checksPassed = r.u64();
+    s.checksFailed = r.u64();
+}
+
+void
 Alat::save(serial::Writer &w) const
 {
     w.u32(_capacity);
@@ -114,11 +134,7 @@ Alat::save(serial::Writer &w) const
     for (const DynId id : _fifo)
         w.u64(id);
 
-    w.u64(_stats.allocations);
-    w.u64(_stats.storeInvalidations);
-    w.u64(_stats.capacityEvictions);
-    w.u64(_stats.checksPassed);
-    w.u64(_stats.checksFailed);
+    saveStats(w, _stats);
 }
 
 void
@@ -141,11 +157,7 @@ Alat::restore(serial::Reader &r)
     const std::size_t fifo = r.seq(8);
     for (std::size_t i = 0; i < fifo; ++i)
         _fifo.push_back(r.u64());
-    _stats.allocations = r.u64();
-    _stats.storeInvalidations = r.u64();
-    _stats.capacityEvictions = r.u64();
-    _stats.checksPassed = r.u64();
-    _stats.checksFailed = r.u64();
+    restoreStats(r, _stats);
 }
 
 } // namespace memory

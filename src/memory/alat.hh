@@ -40,6 +40,15 @@ struct AlatStats
     void reset() { *this = AlatStats(); }
 };
 
+/**
+ * Writes every AlatStats counter to @p w in declaration order: the
+ * one encoding shared by model snapshots and result-cache entries.
+ */
+void saveStats(serial::Writer &w, const AlatStats &s);
+
+/** Reads back what saveStats() wrote for an AlatStats. */
+void restoreStats(serial::Reader &r, AlatStats &s);
+
 /** DynID-indexed load-tracking table. */
 class Alat
 {

@@ -8,12 +8,12 @@
 #ifndef FF_MEMORY_CACHE_HH
 #define FF_MEMORY_CACHE_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include "common/serialize.hh"
-#include "common/stats.hh"
 #include "common/types.hh"
 
 namespace ff

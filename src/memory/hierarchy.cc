@@ -218,30 +218,30 @@ Hierarchy::access(AccessKind kind, Initiator who, Addr addr, Cycle now)
     return r;
 }
 
+void
+saveStats(serial::Writer &w, const AccessStats &s)
+{
+    for (const auto &row : s.counts)
+        for (const std::uint64_t c : row)
+            w.u64(c);
+    for (const auto &row : s.weightedCycles)
+        for (const std::uint64_t c : row)
+            w.u64(c);
+}
+
+void
+restoreStats(serial::Reader &r, AccessStats &s)
+{
+    for (auto &row : s.counts)
+        for (std::uint64_t &c : row)
+            c = r.u64();
+    for (auto &row : s.weightedCycles)
+        for (std::uint64_t &c : row)
+            c = r.u64();
+}
+
 namespace
 {
-
-void
-saveAccessStats(serial::Writer &w, const AccessStats &s)
-{
-    for (unsigned i = 0; i < kNumInitiators; ++i) {
-        for (unsigned l = 0; l < kNumMemLevels; ++l) {
-            w.u64(s.counts[i][l]);
-            w.u64(s.weightedCycles[i][l]);
-        }
-    }
-}
-
-void
-restoreAccessStats(serial::Reader &r, AccessStats &s)
-{
-    for (unsigned i = 0; i < kNumInitiators; ++i) {
-        for (unsigned l = 0; l < kNumMemLevels; ++l) {
-            s.counts[i][l] = r.u64();
-            s.weightedCycles[i][l] = r.u64();
-        }
-    }
-}
 
 void
 saveInFlight(serial::Writer &w,
@@ -297,8 +297,8 @@ Hierarchy::save(serial::Writer &w) const
     for (const Cycle c : _outstandingLoads)
         w.u64(c);
 
-    saveAccessStats(w, _stats);
-    saveAccessStats(w, _instStats);
+    saveStats(w, _stats);
+    saveStats(w, _instStats);
     w.u64(_prefetches);
 }
 
@@ -334,8 +334,8 @@ Hierarchy::restore(serial::Reader &r)
     for (std::size_t i = 0; i < loads; ++i)
         _outstandingLoads.push_back(r.u64());
 
-    restoreAccessStats(r, _stats);
-    restoreAccessStats(r, _instStats);
+    restoreStats(r, _stats);
+    restoreStats(r, _instStats);
     _prefetches = r.u64();
 }
 

@@ -106,6 +106,16 @@ struct AccessStats
 };
 
 /**
+ * Writes @p s to @p w, every count and then every weighted-cycle sum,
+ * each row by row: the one encoding shared by hierarchy snapshots and
+ * result-cache entries.
+ */
+void saveStats(serial::Writer &w, const AccessStats &s);
+
+/** Reads back what saveStats() wrote for an AccessStats. */
+void restoreStats(serial::Reader &r, AccessStats &s);
+
+/**
  * The timed memory system. Call tick(now) once per cycle before any
  * access in that cycle so due fills land first.
  */

@@ -56,82 +56,16 @@ entryPath(const std::string &dir, const std::string &key)
     return fs::path(dir) / key.substr(0, 2) / (key.substr(2) + ".ffr");
 }
 
-void
-saveAccessStats(serial::Writer &w, const memory::AccessStats &s)
+/**
+ * The entry trailer: the first 8 bytes of the SHA-256 of the @p n
+ * entry bytes at @p data that precede it.
+ */
+std::uint64_t
+entryDigest(const std::uint8_t *data, std::size_t n)
 {
-    for (const auto &row : s.counts)
-        for (const std::uint64_t c : row)
-            w.u64(c);
-    for (const auto &row : s.weightedCycles)
-        for (const std::uint64_t c : row)
-            w.u64(c);
-}
-
-void
-restoreAccessStats(serial::Reader &r, memory::AccessStats &s)
-{
-    for (auto &row : s.counts)
-        for (std::uint64_t &c : row)
-            c = r.u64();
-    for (auto &row : s.weightedCycles)
-        for (std::uint64_t &c : row)
-            c = r.u64();
-}
-
-void
-saveTwoPassStats(serial::Writer &w, const cpu::TwoPassStats &s)
-{
-    w.u64(s.dispatched);
-    w.u64(s.preExecuted);
-    w.u64(s.deferred);
-    for (const std::uint64_t c : s.deferredByReason)
-        w.u64(c);
-    w.u64(s.loadsInA);
-    w.u64(s.loadsInB);
-    w.u64(s.storesInA);
-    w.u64(s.storesInB);
-    w.u64(s.loadsPastDeferredStore);
-    w.u64(s.storeConflictFlushes);
-    w.u64(s.storeForwardings);
-    w.u64(s.branchesResolvedInA);
-    w.u64(s.branchesResolvedInB);
-    w.u64(s.aDetMispredicts);
-    w.u64(s.bDetMispredicts);
-    w.u64(s.aStallCqFull);
-    w.u64(s.aStallAnticipable);
-    w.u64(s.aStallThrottled);
-    w.u64(s.regroupedGroups);
-    w.u64(s.feedbackApplied);
-    w.u64(s.feedbackDropped);
-    w.u64(s.registersRepaired);
-}
-
-void
-restoreTwoPassStats(serial::Reader &r, cpu::TwoPassStats &s)
-{
-    s.dispatched = r.u64();
-    s.preExecuted = r.u64();
-    s.deferred = r.u64();
-    for (std::uint64_t &c : s.deferredByReason)
-        c = r.u64();
-    s.loadsInA = r.u64();
-    s.loadsInB = r.u64();
-    s.storesInA = r.u64();
-    s.storesInB = r.u64();
-    s.loadsPastDeferredStore = r.u64();
-    s.storeConflictFlushes = r.u64();
-    s.storeForwardings = r.u64();
-    s.branchesResolvedInA = r.u64();
-    s.branchesResolvedInB = r.u64();
-    s.aDetMispredicts = r.u64();
-    s.bDetMispredicts = r.u64();
-    s.aStallCqFull = r.u64();
-    s.aStallAnticipable = r.u64();
-    s.aStallThrottled = r.u64();
-    s.regroupedGroups = r.u64();
-    s.feedbackApplied = r.u64();
-    s.feedbackDropped = r.u64();
-    s.registersRepaired = r.u64();
+    Sha256 h;
+    h.update(data, n);
+    return h.digest64();
 }
 
 void
@@ -144,20 +78,11 @@ encodeOutcome(serial::Writer &w, const SimOutcome &o)
     w.u64(o.run.groupsRetired);
     for (const std::uint64_t c : o.cycles.counts)
         w.u64(c);
-    saveAccessStats(w, o.accesses);
-    w.u64(o.branches.lookups);
-    w.u64(o.branches.mispredicts);
-    saveTwoPassStats(w, o.twopass);
-    w.u64(o.alat.allocations);
-    w.u64(o.alat.storeInvalidations);
-    w.u64(o.alat.capacityEvictions);
-    w.u64(o.alat.checksPassed);
-    w.u64(o.alat.checksFailed);
-    w.u64(o.runahead.episodes);
-    w.u64(o.runahead.runaheadCycles);
-    w.u64(o.runahead.runaheadLoads);
-    w.u64(o.runahead.runaheadInsts);
-    w.u64(o.runahead.invResults);
+    memory::saveStats(w, o.accesses);
+    branch::saveStats(w, o.branches);
+    cpu::saveStats(w, o.twopass);
+    memory::saveStats(w, o.alat);
+    cpu::saveStats(w, o.runahead);
     w.u64(o.regFingerprint);
     w.u64(o.memFingerprint);
     w.u64(o.checksum);
@@ -198,20 +123,11 @@ decodeOutcome(serial::Reader &r, SimOutcome &o)
     o.run.groupsRetired = r.u64();
     for (std::uint64_t &c : o.cycles.counts)
         c = r.u64();
-    restoreAccessStats(r, o.accesses);
-    o.branches.lookups = r.u64();
-    o.branches.mispredicts = r.u64();
-    restoreTwoPassStats(r, o.twopass);
-    o.alat.allocations = r.u64();
-    o.alat.storeInvalidations = r.u64();
-    o.alat.capacityEvictions = r.u64();
-    o.alat.checksPassed = r.u64();
-    o.alat.checksFailed = r.u64();
-    o.runahead.episodes = r.u64();
-    o.runahead.runaheadCycles = r.u64();
-    o.runahead.runaheadLoads = r.u64();
-    o.runahead.runaheadInsts = r.u64();
-    o.runahead.invResults = r.u64();
+    memory::restoreStats(r, o.accesses);
+    branch::restoreStats(r, o.branches);
+    cpu::restoreStats(r, o.twopass);
+    memory::restoreStats(r, o.alat);
+    cpu::restoreStats(r, o.runahead);
     o.regFingerprint = r.u64();
     o.memFingerprint = r.u64();
     o.checksum = r.u64();
@@ -339,8 +255,14 @@ resultCacheLookup(const std::string &key, SimOutcome &out)
         (std::istreambuf_iterator<char>(in)),
         std::istreambuf_iterator<char>());
 
-    serial::Reader r(bytes);
-    if (r.u32() != kCacheMagic || r.u32() != kResultCacheVersion ||
+    // The trailer must match the digest of everything before it, so a
+    // flipped bit in a counter reads as corruption, never as a result.
+    const std::size_t body = bytes.size() >= 8 ? bytes.size() - 8 : 0;
+    serial::Reader trailer(bytes.data() + body, bytes.size() - body);
+    serial::Reader r(bytes.data(), body);
+    if (bytes.size() < 8 ||
+        trailer.u64() != entryDigest(bytes.data(), body) ||
+        r.u32() != kCacheMagic || r.u32() != kResultCacheVersion ||
         r.str() != key || !decodeOutcome(r, out) || !r.atEnd()) {
         // Corrupt or stale: drop the entry so the refreshed store
         // below it replaces a known-bad file, then report a miss.
@@ -372,6 +294,7 @@ resultCacheStore(const std::string &key, const SimOutcome &outcome)
     w.u32(kResultCacheVersion);
     w.str(key);
     encodeOutcome(w, outcome);
+    w.u64(entryDigest(w.buffer().data(), w.buffer().size()));
 
     std::error_code ec;
     const fs::path path = entryPath(dir, key);

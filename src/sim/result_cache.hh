@@ -9,7 +9,8 @@
  *
  * The store is a directory of small binary files (two-level fan-out:
  * <dir>/<key[0:2]>/<key[2:]>.ffr) written atomically via a temp file
- * and rename, safe under concurrent sweeps. Corrupt, truncated or
+ * and rename, safe under concurrent sweeps. Each entry ends with a
+ * 64-bit SHA-256 digest of the bytes before it. Corrupt, truncated or
  * stale-versioned entries are treated as misses — a bad file can
  * never poison an experiment, only slow it down. Runs that collect
  * metrics bypass the cache entirely (observers must see the whole
@@ -39,9 +40,10 @@ namespace sim
  * entry header. Bump whenever the SimOutcome encoding or the key
  * recipe changes; old entries then age out as unreachable keys.
  * v2: sampling parameters joined the key and entries grew an
- * optional SampledEstimate tail.
+ * optional SampledEstimate tail. v3: each entry ends with a 64-bit
+ * SHA-256 digest of its other bytes, checked before decoding.
  */
-inline constexpr std::uint32_t kResultCacheVersion = 2;
+inline constexpr std::uint32_t kResultCacheVersion = 3;
 
 /** Lifetime counters, for benches and the cache tests. */
 struct ResultCacheStats

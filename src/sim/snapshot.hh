@@ -32,8 +32,10 @@ namespace sim
  * Bumped whenever any component's save()/restore() encoding changes;
  * decodeSnapshot() rejects other versions, and the result cache
  * folds this into its keys so stale on-disk artifacts age out.
+ * v3: the two-pass CQ depth is a sum and a count, and the hierarchy
+ * writes its access counters in the result cache's block order.
  */
-inline constexpr std::uint32_t kSnapshotFormatVersion = 2;
+inline constexpr std::uint32_t kSnapshotFormatVersion = 3;
 
 /** A timed model frozen mid-run. */
 struct Snapshot

@@ -12,6 +12,7 @@
 #include <filesystem>
 #include <fstream>
 #include <future>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
@@ -223,6 +224,50 @@ TEST_F(ResultCacheTest, CorruptEntriesDegradeToMisses)
     ASSERT_TRUE(sim::resultCacheStore(key, cold));
     ASSERT_TRUE(sim::resultCacheLookup(key, loaded));
     expectSameOutcome(cold, loaded);
+}
+
+TEST_F(ResultCacheTest, SingleByteMutantsNeverHit)
+{
+    // Every single-byte corruption of a real entry, a counter or the
+    // digest trailer included, must read as a corrupt entry: a miss,
+    // one more error, and the file removed.
+    const cpu::CoreConfig cfg = sim::table1Config();
+    const sim::SimOutcome cold = sim::simulate(
+        workload().program, sim::CpuKind::kTwoPass, cfg);
+    const std::string key =
+        sim::resultCacheKey(workload().program, sim::CpuKind::kTwoPass,
+                            cfg, sim::kDefaultMaxCycles);
+    ASSERT_TRUE(sim::resultCacheStore(key, cold));
+    const fs::path entry = onlyEntry();
+    std::vector<char> good;
+    {
+        std::ifstream in(entry, std::ios::binary);
+        good.assign(std::istreambuf_iterator<char>(in),
+                    std::istreambuf_iterator<char>());
+    }
+    ASSERT_FALSE(good.empty());
+
+    std::uint64_t errors = sim::resultCacheStats().errors;
+    for (std::size_t i = 0; i < good.size(); ++i) {
+        for (const unsigned mask : {0x01u, 0x80u, 0xffu}) {
+            std::vector<char> bad = good;
+            bad[i] = static_cast<char>(bad[i] ^ mask);
+            {
+                std::ofstream out(entry,
+                                  std::ios::binary | std::ios::trunc);
+                out.write(bad.data(),
+                          static_cast<std::streamsize>(bad.size()));
+            }
+            sim::SimOutcome loaded;
+            ASSERT_FALSE(sim::resultCacheLookup(key, loaded))
+                << "byte " << i << " ^ " << mask;
+            ASSERT_EQ(sim::resultCacheStats().errors, ++errors)
+                << "byte " << i << " ^ " << mask;
+            ASSERT_FALSE(fs::exists(entry))
+                << "byte " << i << " ^ " << mask;
+        }
+    }
+    EXPECT_EQ(sim::resultCacheStats().hits, 0u);
 }
 
 TEST_F(ResultCacheTest, MeteredOutcomesAreNeverCached)

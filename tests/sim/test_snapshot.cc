@@ -214,7 +214,9 @@ TEST(SnapshotDeathTest, StaleFormatVersionIsFatal)
     sim::Snapshot out;
     EXPECT_FALSE(sim::decodeSnapshot(stale, out));
     EXPECT_DEATH(sim::decodeSnapshotOrDie(stale),
-                 "format version 1 but this build reads version 2");
+                 "format version " + std::to_string(prev) +
+                     " but this build reads version " +
+                     std::to_string(sim::kSnapshotFormatVersion));
 
     // Bad magic and truncation die with their own diagnosis.
     std::vector<std::uint8_t> bad = bytes;

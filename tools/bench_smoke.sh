@@ -13,18 +13,19 @@
 #     cache hit/miss counts and the warm speedup are folded into the
 #     same BENCH_fig6.json record, and every warm table must stay
 #     bit-identical to the uncached serial run;
-#  3. diff the full ffvm statsReport() dump of one workload per CPU
-#     model against the committed goldens in tools/golden/, so any
-#     unintended change to model behaviour or stat rendering fails
-#     loudly (regenerate deliberately with the printed command);
-#  4. emit a --profile --metrics-out JSON document for the same
-#     workload on every timed model and validate each against
-#     tools/metrics_schema.json, so the exported document and the
-#     schema cannot drift apart;
-#  5. gate sampled simulation (bench_sampled): the sampled estimator
+#  3. gate hot-path throughput (bench_tick) with a floor, and append
+#     its record to the same trajectory file;
+#  4. gate sampled simulation (bench_sampled): the sampled estimator
 #     must stay within 2% relative IPC error of full detailed
 #     simulation while running >= 3x faster on the fig6 suite, and
-#     the error/speedup record joins the same trajectory file.
+#     the error/speedup record joins the same trajectory file;
+#  5. emit a --profile --metrics-out JSON document for 181.mcf on
+#     every timed model and validate each against
+#     tools/metrics_schema.json, so the exported document and the
+#     schema cannot drift apart.
+#
+# The statsReport goldens are the stats_goldens ctest
+# (tools/stats_golden.sh).
 #
 # Usage: tools/bench_smoke.sh [build-dir] [scale-percent]
 set -euo pipefail
@@ -34,12 +35,42 @@ scale="${2:-25}"
 jobs="${FF_JOBS:-$(nproc)}"
 bench="$build_dir/bench/bench_fig6"
 ffvm="$build_dir/tools/ffvm"
-golden_dir="$(dirname "$0")/golden"
 
 if [ ! -x "$bench" ]; then
     echo "bench_smoke: $bench is not built" >&2
     exit 1
 fi
+
+# Appends the JSON record in $1, stamped with the UTC time, to
+# BENCH_fig6.json, so the file grows into a perf trajectory: one
+# array entry per record; a legacy single-object file is wrapped on
+# first append.
+append_record() {
+    python3 - "$1" BENCH_fig6.json <<'EOF'
+import datetime
+import json
+import sys
+
+record_path, trajectory_path = sys.argv[1], sys.argv[2]
+with open(record_path) as f:
+    record = json.load(f)
+record["timestamp"] = datetime.datetime.now(
+    datetime.timezone.utc).isoformat(timespec="seconds")
+try:
+    with open(trajectory_path) as f:
+        trajectory = json.load(f)
+    if not isinstance(trajectory, list):
+        trajectory = [trajectory]
+except (OSError, json.JSONDecodeError):
+    trajectory = []
+trajectory.append(record)
+with open(trajectory_path, "w") as f:
+    json.dump(trajectory, f, indent=2)
+    f.write("\n")
+print(f"bench_smoke: appended record {len(trajectory)} to "
+      f"{trajectory_path}")
+EOF
+}
 
 serial="$(mktemp)"
 par="$(mktemp)"
@@ -90,24 +121,17 @@ for i in 1 2 3; do
         "$warm_json")")
 done
 
-# Append the timestamped throughput record so BENCH_fig6.json grows
-# into a perf trajectory (one array entry per run; a legacy
-# single-object file is wrapped on first append). The cached cold/warm
-# measurement rides along inside the same record.
-python3 - "$record" BENCH_fig6.json "$cold_json" "$warm_json" \
-    "${warm_walls[@]}" <<'EOF'
-import datetime
+# Gate the cached cold/warm measurement and fold it into the
+# throughput record, which then joins the trajectory.
+python3 - "$record" "$cold_json" "$warm_json" "${warm_walls[@]}" <<'EOF'
 import json
 import statistics
 import sys
 
-record_path, trajectory_path = sys.argv[1], sys.argv[2]
-cold_path, warm_path = sys.argv[3], sys.argv[4]
-warm_walls = [float(w) for w in sys.argv[5:]]
+record_path, cold_path, warm_path = sys.argv[1], sys.argv[2], sys.argv[3]
+warm_walls = [float(w) for w in sys.argv[4:]]
 with open(record_path) as f:
     record = json.load(f)
-record["timestamp"] = datetime.datetime.now(
-    datetime.timezone.utc).isoformat(timespec="seconds")
 
 with open(cold_path) as f:
     cold = json.load(f)
@@ -130,22 +154,12 @@ if warm["cacheMisses"] != 0 or warm["cacheHits"] != warm["sims"]:
 if speedup < 1.5:
     sys.exit(f"bench_smoke: FAIL — warm speedup {speedup:.2f}x "
              f"below the 1.5x floor")
-
-try:
-    with open(trajectory_path) as f:
-        trajectory = json.load(f)
-    if not isinstance(trajectory, list):
-        trajectory = [trajectory]
-except (OSError, json.JSONDecodeError):
-    trajectory = []
-trajectory.append(record)
-with open(trajectory_path, "w") as f:
-    json.dump(trajectory, f, indent=2)
-    f.write("\n")
-print(f"bench_smoke: appended run {len(trajectory)} to "
-      f"{trajectory_path} "
-      f"({record['simCyclesPerSec']:.3g} sim-cycles/s)")
+print(f"bench_smoke: fig6 {record['simCyclesPerSec']:.3g} "
+      f"sim-cycles/s")
+with open(record_path, "w") as f:
+    json.dump(record, f)
 EOF
+append_record "$record"
 
 # ---- hot-path throughput gate (bench_tick) -------------------------
 # bench_tick measures raw sim-cycles/sec per model on an L1-resident
@@ -164,17 +178,13 @@ tick_json="$(mktemp)"
 trap 'rm -rf "$serial" "$par" "$record" "$cache_dir" "$cold_json" \
          "$warm_json" "$warm_table" "$tick_json"' EXIT
 "$tick_bench" --json "$tick_json" "$scale" > /dev/null
-python3 - "$tick_json" BENCH_fig6.json "$tick_floor" <<'EOF'
-import datetime
+python3 - "$tick_json" "$tick_floor" <<'EOF'
 import json
 import sys
 
-tick_path, trajectory_path, floor = \
-    sys.argv[1], sys.argv[2], float(sys.argv[3])
+tick_path, floor = sys.argv[1], float(sys.argv[2])
 with open(tick_path) as f:
     record = json.load(f)
-record["timestamp"] = datetime.datetime.now(
-    datetime.timezone.utc).isoformat(timespec="seconds")
 
 rate = record["simCyclesPerSec"]
 print(f"bench_smoke: bench_tick {rate:.3g} sim-cycles/s "
@@ -190,19 +200,8 @@ for row in record.get("perModel", []):
 if rate < floor:
     sys.exit(f"bench_smoke: FAIL — bench_tick throughput {rate:.3g} "
              f"sim-cycles/s below the {floor:.3g} floor")
-
-try:
-    with open(trajectory_path) as f:
-        trajectory = json.load(f)
-    if not isinstance(trajectory, list):
-        trajectory = [trajectory]
-except (OSError, json.JSONDecodeError):
-    trajectory = []
-trajectory.append(record)
-with open(trajectory_path, "w") as f:
-    json.dump(trajectory, f, indent=2)
-    f.write("\n")
 EOF
+append_record "$tick_json"
 
 # ---- sampled simulation gate (bench_sampled) -----------------------
 # bench_sampled runs the full fig6 suite twice — full detailed and
@@ -224,73 +223,32 @@ trap 'rm -rf "$serial" "$par" "$record" "$cache_dir" "$cold_json" \
          "$warm_json" "$warm_table" "$tick_json" "$sampled_json"' EXIT
 env -u FF_CACHE_DIR "$sampled_bench" --json "$sampled_json" \
     --max-err 2.0 --min-speedup 3.0 "$sampled_scale" > /dev/null
-python3 - "$sampled_json" BENCH_fig6.json <<'EOF'
-import datetime
+python3 - "$sampled_json" <<'EOF'
 import json
 import sys
 
-sampled_path, trajectory_path = sys.argv[1], sys.argv[2]
-with open(sampled_path) as f:
+with open(sys.argv[1]) as f:
     record = json.load(f)
-record["timestamp"] = datetime.datetime.now(
-    datetime.timezone.utc).isoformat(timespec="seconds")
 print(f"bench_smoke: sampled fig6 max err "
       f"{record['maxRelErrPct']:.2f}% (mean "
       f"{record['meanRelErrPct']:.2f}%), speedup "
       f"{record['sampledSpeedup']}x over full detailed "
       f"({record['fullWallSeconds']:.2f} s -> "
       f"{record['sampledWallSeconds']:.2f} s)")
-
-try:
-    with open(trajectory_path) as f:
-        trajectory = json.load(f)
-    if not isinstance(trajectory, list):
-        trajectory = [trajectory]
-except (OSError, json.JSONDecodeError):
-    trajectory = []
-trajectory.append(record)
-with open(trajectory_path, "w") as f:
-    json.dump(trajectory, f, indent=2)
-    f.write("\n")
 EOF
+append_record "$sampled_json"
 
-# ---- statsReport golden diff (one workload per timed model) --------
+# ---- metrics JSON schema validation (one run per timed model) ------
 if [ ! -x "$ffvm" ]; then
     echo "bench_smoke: $ffvm is not built" >&2
     exit 1
 fi
-
-stats_workload="181.mcf"
-stats_scale=5
-for model in base 2P 2Pre runahead; do
-    golden="$golden_dir/${stats_workload}_${model}.stats"
-    if [ ! -f "$golden" ]; then
-        echo "bench_smoke: missing golden $golden" >&2
-        exit 1
-    fi
-    got="$(mktemp)"
-    "$ffvm" --workload "$stats_workload" --scale "$stats_scale" \
-        --model "$model" --stats > "$got"
-    if ! diff -u "$golden" "$got"; then
-        echo "bench_smoke: FAIL — $model statsReport differs from" \
-             "$golden (regenerate with: $ffvm --workload" \
-             "$stats_workload --scale $stats_scale --model $model" \
-             "--stats > $golden)" >&2
-        rm -f "$got"
-        exit 1
-    fi
-    rm -f "$got"
-done
-
-echo "bench_smoke: statsReport goldens match for base/2P/2Pre/runahead"
-
-# ---- metrics JSON schema validation (one run per timed model) ------
 tools_dir="$(dirname "$0")"
 metrics_docs=()
 for model in base 2P 2Pre runahead; do
     doc="$(mktemp --suffix=.json)"
     metrics_docs+=("$doc")
-    "$ffvm" --workload="$stats_workload" --scale "$stats_scale" \
+    "$ffvm" --workload=181.mcf --scale 5 \
         --model "$model" --profile --metrics-out="$doc" > /dev/null
 done
 if ! python3 "$tools_dir/validate_metrics.py" "${metrics_docs[@]}"; then
