@@ -48,7 +48,6 @@ class GsharePredictor : public DirectionPredictor
 
     std::uint64_t history() const { return _history; }
 
-    void resetStats() { _stats.reset(); }
     void reset() override;
 
     void save(serial::Writer &w) const override;

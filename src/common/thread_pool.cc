@@ -3,6 +3,7 @@
 #include <cstdlib>
 #include <string>
 
+#include "common/cli_number.hh"
 #include "common/engine_trace.hh"
 #include "common/logging.hh"
 
@@ -13,10 +14,9 @@ unsigned
 defaultJobCount()
 {
     if (const char *env = std::getenv("FF_JOBS")) {
-        char *end = nullptr;
-        const long v = std::strtol(env, &end, 10);
-        if (end != env && *end == '\0' && v > 0)
-            return static_cast<unsigned>(v);
+        unsigned v = 0;
+        if (cli::tryParseNumber(env, v) && v > 0)
+            return v;
         ff_warn("ignoring malformed FF_JOBS='", env, "'");
     }
     const unsigned hw = std::thread::hardware_concurrency();

@@ -32,8 +32,9 @@ namespace ff
 
 /**
  * Number of workers to use when the caller does not say: the FF_JOBS
- * environment variable if set to a positive integer, else the
- * hardware concurrency (at least 1).
+ * environment variable if set to a positive integer that fits an
+ * unsigned (cli::tryParseNumber syntax; anything else is ignored with
+ * a warning), else the hardware concurrency (at least 1).
  */
 unsigned defaultJobCount();
 

@@ -1,9 +1,9 @@
 #include "cpu/baseline/baseline_cpu.hh"
 
+#include <array>
 #include <vector>
 
 #include "cpu/exec.hh"
-#include "cpu/issue_check.hh"
 #include "cpu/stats_report.hh"
 
 namespace ff
@@ -13,11 +13,67 @@ namespace cpu
 
 using isa::Instruction;
 
-BaselineCpu::BaselineCpu(const isa::Program &prog,
-                         const CoreConfig &cfg, bool load_image)
-    : CoreBase(prog, cfg, memory::Initiator::kBaseline, load_image)
+namespace
 {
+
+/**
+ * The REG-stage dependence and resource check of the issue group
+ * [@p leader, @p end): kUnstalled when the whole group may issue at
+ * @p now, else the Figure-6 class of the first blocking hazard in slot
+ * order. The group stalls atomically when any of its instructions'
+ * operands are pending (Figure 2(a)), and conservatively when its
+ * loads could overflow the MSHRs.
+ */
+CycleClass
+checkGroupIssue(const isa::Program &prog, InstIdx leader, InstIdx end,
+                const Scoreboard &sb, const RegFile &regs,
+                const memory::Hierarchy &hier, const CoreConfig &cfg,
+                Cycle now)
+{
+    // Fast path: with no producer in flight anywhere, every ready()
+    // query below is vacuously true and the MSHR bound cannot bind.
+    if (sb.quiescentBy(now) && hier.outstandingLoads(now) == 0)
+        return CycleClass::kUnstalled;
+
+    unsigned loads_wanted = 0;
+    for (InstIdx i = leader; i < end; ++i) {
+        const isa::Instruction &in = prog.inst(i);
+        if (!sb.ready(in.qpred, now))
+            return stallClassFor(sb, in.qpred);
+        const bool qp = regs.readPred(in.qpred);
+        if (!qp && !in.isBranch())
+            continue; // nullified slot needs no operands
+        if (in.src1.valid() && !sb.ready(in.src1, now))
+            return stallClassFor(sb, in.src1);
+        if (in.src2.valid() && !in.src2IsImm &&
+            !sb.ready(in.src2, now)) {
+            return stallClassFor(sb, in.src2);
+        }
+        if (cfg.wawStall) {
+            std::array<isa::RegId, 2> dsts;
+            const unsigned nd = in.destinations(dsts);
+            for (unsigned d = 0; d < nd; ++d) {
+                if (!sb.ready(dsts[d], now))
+                    return stallClassFor(sb, dsts[d]);
+            }
+        }
+        if (in.isLoad() && qp)
+            ++loads_wanted;
+    }
+
+    // Resource check: conservatively assume every load misses.
+    if (loads_wanted > 0 && hier.outstandingLoads(now) > 0 &&
+        hier.outstandingLoads(now) + loads_wanted >
+            cfg.mem.maxOutstandingLoads) {
+        // Stalling only helps while an outstanding load could retire
+        // and free an MSHR; a group carrying more loads than the
+        // machine has MSHRs must still issue eventually.
+        return CycleClass::kResourceStall;
+    }
+    return CycleClass::kUnstalled;
 }
+
+} // namespace
 
 CycleClass
 BaselineCpu::tryIssue(Cycle now, RunResult &res)
@@ -89,8 +145,7 @@ BaselineCpu::tryIssue(Cycle now, RunResult &res)
                 ++_stats.loadsIssued;
                 const memory::AccessResult ar =
                     _hier.access(memory::AccessKind::kLoad,
-                                 memory::Initiator::kBaseline, ev.addr,
-                                 now);
+                                 _fe.initiator(), ev.addr, now);
                 ev.dstVal = loadExtend(in.op, _mem.read(ev.addr,
                                                         ev.size));
                 _ms.regs.write(in.dst, ev.dstVal);
@@ -100,8 +155,8 @@ BaselineCpu::tryIssue(Cycle now, RunResult &res)
             }
             ++_stats.storesIssued;
             _mem.write(ev.addr, ev.storeVal, ev.size);
-            _hier.access(memory::AccessKind::kStore,
-                         memory::Initiator::kBaseline, ev.addr, now);
+            _hier.access(memory::AccessKind::kStore, _fe.initiator(),
+                         ev.addr, now);
             continue;
         }
 
@@ -123,7 +178,10 @@ BaselineCpu::tryIssue(Cycle now, RunResult &res)
     }
 
     ++res.groupsRetired;
-    notifyGroupRetire(now, leader, static_cast<unsigned>(end - leader));
+    if (_ms.observer != nullptr) {
+        _ms.observer->onGroupRetire(now, leader,
+                                    static_cast<unsigned>(end - leader));
+    }
     return CycleClass::kUnstalled;
 }
 

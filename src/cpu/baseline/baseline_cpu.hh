@@ -4,14 +4,15 @@
  * atomically in the dependence-check stage whenever any contained
  * instruction's operands are not ready, exactly the behaviour whose
  * stall cycles the two-pass design attacks. The register file and
- * scoreboard live in CoreBase's MachineState; this class adds only
- * the issue loop and its counters.
+ * scoreboard live in CpuModel's MachineState; this class adds only
+ * the issue loop and its counters. The run-ahead core is this core
+ * plus its run-ahead mode, so it reuses the issue stage as is.
  */
 
 #ifndef FF_CPU_BASELINE_BASELINE_CPU_HH
 #define FF_CPU_BASELINE_BASELINE_CPU_HH
 
-#include "cpu/core/core_base.hh"
+#include "cpu/cpu.hh"
 #include "cpu/scoreboard.hh"
 
 namespace ff
@@ -26,19 +27,20 @@ struct BaselineStats
     std::uint64_t storesIssued = 0;
     std::uint64_t branchesRetired = 0;
     std::uint64_t mispredicts = 0;
-
-    void reset() { *this = BaselineStats(); }
 };
 
 /** In-order, stall-on-use EPIC pipeline. */
-class BaselineCpu : public CoreBase
+class BaselineCpu : public CpuModel
 {
   public:
-    BaselineCpu(const isa::Program &prog, const CoreConfig &cfg,
-                bool load_image = true);
+    /** Builds the baseline core over @p prog (which must outlive it). */
+    BaselineCpu(const isa::Program &prog, const CoreConfig &cfg)
+        : BaselineCpu(prog, cfg, memory::Initiator::kBaseline)
+    {
+    }
 
     RunResult
-    run(std::uint64_t max_cycles) final
+    run(std::uint64_t max_cycles) override
     {
         return runLoop(
             [this](Cycle now, RunResult &res) {
@@ -47,17 +49,25 @@ class BaselineCpu : public CoreBase
             max_cycles);
     }
 
-    const RegFile &archRegs() const override { return _ms.regs; }
-
+    /** The baseline issue counters. */
     const BaselineStats &stats() const { return _stats; }
 
     std::string statsReport() const override;
 
   protected:
+    /**
+     * Builds the core with its loads and stores tagged @p who: the
+     * run-ahead core passes its own initiator.
+     */
+    BaselineCpu(const isa::Program &prog, const CoreConfig &cfg,
+                memory::Initiator who)
+        : CpuModel(prog, cfg, who)
+    {
+    }
+
     void saveModelState(serial::Writer &w) const override;
     void restoreModelState(serial::Reader &r) override;
 
-  private:
     /**
      * Attempts to issue the head issue group at @p now.
      * @return the cycle's classification; retires the group when
@@ -65,6 +75,7 @@ class BaselineCpu : public CoreBase
      */
     CycleClass tryIssue(Cycle now, RunResult &res);
 
+  private:
     BaselineStats _stats;
 };
 

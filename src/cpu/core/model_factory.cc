@@ -23,21 +23,20 @@ cpuKindName(CpuKind k)
 
 std::unique_ptr<CpuModel>
 makeModel(CpuKind kind, const isa::Program &prog,
-          const CoreConfig &cfg, bool load_image)
+          const CoreConfig &cfg)
 {
     switch (kind) {
       case CpuKind::kBaseline:
-        return std::make_unique<BaselineCpu>(prog, cfg, load_image);
+        return std::make_unique<BaselineCpu>(prog, cfg);
       case CpuKind::kTwoPass:
-        return std::make_unique<TwoPassCpu>(prog, cfg, load_image);
+        return std::make_unique<TwoPassCpu>(prog, cfg);
       case CpuKind::kTwoPassRegroup: {
         CoreConfig regroup_cfg = cfg;
         regroup_cfg.regroup = true;
-        return std::make_unique<TwoPassCpu>(prog, regroup_cfg,
-                                            load_image);
+        return std::make_unique<TwoPassCpu>(prog, regroup_cfg);
       }
       case CpuKind::kRunahead:
-        return std::make_unique<RunaheadCpu>(prog, cfg, load_image);
+        return std::make_unique<RunaheadCpu>(prog, cfg);
     }
     return nullptr;
 }

@@ -40,16 +40,10 @@ const char *cpuKindName(CpuKind k);
  * kTwoPassRegroup forces cfg.regroup on, so every caller gets the
  * same 2Pre semantics without touching its config. @p prog must
  * outlive the model (models hold a reference).
- *
- * @p load_image false constructs the model with empty architectural
- * memory — strictly for callers that replace memory wholesale before
- * running, by warpArchState() or by restoring a snapshot (see
- * CoreBase's constructor doc).
  */
 std::unique_ptr<CpuModel> makeModel(CpuKind kind,
                                     const isa::Program &prog,
-                                    const CoreConfig &cfg,
-                                    bool load_image = true);
+                                    const CoreConfig &cfg);
 
 } // namespace cpu
 } // namespace ff

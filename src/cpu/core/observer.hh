@@ -2,7 +2,7 @@
  * @file
  * The CoreObserver hook seam: a zero-cost (one null-pointer test per
  * event site) way for tooling to watch a timed core execute without
- * the core knowing who is listening. CoreBase owns the attachment
+ * the core knowing who is listening. CpuModel owns the attachment
  * point; models and their stage units fire the hooks at the
  * architecturally meaningful moments. It is the one event path out
  * of a core: the profile, telemetry and pipeview observers are its
@@ -40,22 +40,6 @@ struct OccupancySample
     unsigned cqDepth = 0;         ///< coupling-queue entries (two-pass)
     unsigned inFlightLoads = 0;   ///< loads outstanding past the L1
     unsigned pendingFeedback = 0; ///< queued B-to-A updates (two-pass)
-};
-
-/**
- * Read-only occupancy probe over a running core. CoreBase implements
- * it with what every model shares (in-flight loads); models with more
- * pipeline structure (the two-pass coupling queue and feedback path)
- * override it. Strictly observational: implementations must not
- * mutate simulation state.
- */
-class OccupancyProbe
-{
-  public:
-    virtual ~OccupancyProbe() = default;
-
-    /** Occupancy of the core's structures as of cycle @p now. */
-    virtual OccupancySample occupancy(Cycle now) const = 0;
 };
 
 /**
@@ -153,7 +137,7 @@ class CoreObserver
 /**
  * Fans every observer event out to a fixed set of clients, so a run
  * can attach a tracer and a profiler and a telemetry sampler through
- * the single CoreBase attachment point. Pointers must outlive the
+ * the single CpuModel attachment point. Pointers must outlive the
  * fanout; nullptr entries are skipped at add().
  */
 class FanoutObserver : public CoreObserver

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "cpu/cpu.hh"
+
 namespace ff
 {
 namespace cpu
@@ -19,11 +21,11 @@ bucketsFor(unsigned cap)
 
 } // namespace
 
-TelemetryObserver::TelemetryObserver(const OccupancyProbe &probe,
+TelemetryObserver::TelemetryObserver(const CpuModel &core,
                                      unsigned cq_capacity,
                                      unsigned max_loads,
                                      Cycle epoch_cycles)
-    : _probe(probe),
+    : _core(core),
       _epoch(epoch_cycles),
       _cqDepth(_reg.histogram("cq_depth", 0, cq_capacity + 1,
                               bucketsFor(cq_capacity))),
@@ -44,7 +46,7 @@ TelemetryObserver::TelemetryObserver(const OccupancyProbe &probe,
 void
 TelemetryObserver::onCycle(Cycle now, CycleClass cls)
 {
-    const OccupancySample s = _probe.occupancy(now);
+    const OccupancySample s = _core.occupancy(now);
     _cqDepth.sample(s.cqDepth);
     _inFlight.sample(s.inFlightLoads);
     _feedback.sample(s.pendingFeedback);

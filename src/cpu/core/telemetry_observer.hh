@@ -1,7 +1,7 @@
 /**
  * @file
  * TelemetryObserver: pipeline-occupancy sampling as a CoreObserver
- * client. Each cycle it reads the core's read-only OccupancyProbe
+ * client. Each cycle it reads the core's read-only occupancy()
  * (coupling-queue depth, loads outstanding past the L1, pending
  * B-to-A feedback updates) and folds the sample into histograms plus
  * fixed-rate per-epoch time series in a metrics::Registry, alongside
@@ -21,7 +21,9 @@ namespace ff
 namespace cpu
 {
 
-/** Samples occupancy through a probe into a metrics registry. */
+class CpuModel;
+
+/** Samples a core's occupancy into a metrics registry. */
 class TelemetryObserver : public CoreObserver
 {
   public:
@@ -29,13 +31,13 @@ class TelemetryObserver : public CoreObserver
     static constexpr Cycle kDefaultEpochCycles = 4096;
 
     /**
-     * @param probe the core's occupancy probe; must outlive the
-     *        observer
+     * @param core the observed core, sampled through its read-only
+     *        occupancy(); must outlive the observer
      * @param cq_capacity sizes the CQ-depth histogram (entries)
      * @param max_loads sizes the in-flight-load histogram (MSHRs)
      * @param epoch_cycles time-series resolution in cycles
      */
-    TelemetryObserver(const OccupancyProbe &probe, unsigned cq_capacity,
+    TelemetryObserver(const CpuModel &core, unsigned cq_capacity,
                       unsigned max_loads,
                       Cycle epoch_cycles = kDefaultEpochCycles);
 
@@ -59,7 +61,7 @@ class TelemetryObserver : public CoreObserver
     Cycle epochCycles() const { return _epoch; }
 
   private:
-    const OccupancyProbe &_probe;
+    const CpuModel &_core;
     Cycle _epoch;
     metrics::Registry _reg;
 

@@ -1,21 +1,36 @@
 /**
  * @file
- * The common interface of the timed CPU models (baseline in-order,
- * two-pass, run-ahead). The experiment harness runs any model to
- * completion and compares architectural results and cycle accounting.
+ * CpuModel: the one base class of every timed CPU model (baseline
+ * in-order, two-pass, run-ahead). It owns the structural state all
+ * models share — the program reference, the CoreConfig copy,
+ * architectural memory, the cache hierarchy, the direction predictor,
+ * the decoupled front end, the Figure-6 cycle accounting and the
+ * dense MachineState — validates the program and loads its data image
+ * once in its constructor, and provides the single-shot run loop that
+ * ticks the hierarchy, calls the model's own tick, records the
+ * returned cycle class, and advances the front end. Models implement
+ * only their genuinely distinct per-cycle logic. The experiment
+ * harness runs any model to completion and compares architectural
+ * results and cycle accounting.
  */
 
 #ifndef FF_CPU_CPU_HH
 #define FF_CPU_CPU_HH
 
 #include <cstdint>
+#include <memory>
+#include <string>
 
 #include "branch/predictor.hh"
 #include "common/logging.hh"
 #include "common/serialize.hh"
+#include "cpu/config.hh"
+#include "cpu/core/observer.hh"
 #include "cpu/cycle_classes.hh"
+#include "cpu/frontend.hh"
 #include "cpu/model_stats.hh"
 #include "cpu/regfile.hh"
+#include "cpu/state/machine_state.hh"
 #include "cpu/warm_history.hh"
 #include "memory/hierarchy.hh"
 #include "memory/sparse_memory.hh"
@@ -31,8 +46,9 @@ struct RunResult
     bool halted = false;          ///< the program's HALT retired
     Cycle cycles = 0;             ///< simulated cycles consumed
     std::uint64_t instsRetired = 0; ///< slots retired (incl. nullified)
-    std::uint64_t groupsRetired = 0;
+    std::uint64_t groupsRetired = 0; ///< issue groups retired
 
+    /** Retired slots per simulated cycle (0 before the first cycle). */
     double
     ipc() const
     {
@@ -43,20 +59,21 @@ struct RunResult
     }
 };
 
-class CoreBase;
-
-/** Abstract timed CPU. */
+/** A timed CPU model: the shared kernel every model derives from. */
 class CpuModel
 {
   public:
-    virtual ~CpuModel() = default;
-
     /**
-     * The CoreBase kernel under this model, or nullptr for models
-     * (e.g. the functional CPU) not built on it. Replaces
-     * dynamic_cast probes in the metrics/observer plumbing.
+     * Validates @p prog (held by reference, so it must outlive the
+     * model) against the configured group limits, fatal on violation;
+     * takes its data image (a page-table copy: pages stay shared until
+     * a write clones one); and builds the common subsystems. @p who
+     * tags this core's memory accesses.
      */
-    virtual CoreBase *asCoreBase() { return nullptr; }
+    CpuModel(const isa::Program &prog, const CoreConfig &cfg,
+             memory::Initiator who);
+
+    virtual ~CpuModel() = default;
 
     /**
      * Runs until HALT retires or @p max_cycles elapse. Models are
@@ -66,9 +83,6 @@ class CpuModel
      */
     virtual RunResult run(std::uint64_t max_cycles) = 0;
 
-    /** True if saveState()/restoreState() are implemented. */
-    virtual bool supportsSnapshot() const { return false; }
-
     /**
      * Warps a freshly constructed (never-run) model to an
      * architectural state reached by the functional reference:
@@ -76,33 +90,23 @@ class CpuModel
      * issue-group leader @p entry, and every microarchitectural
      * structure (caches, predictor, queues, scoreboards) stays cold —
      * the sampled-simulation replay pays a detailed warm-up to flush
-     * that cold-start bias. The cycle cursor remains 0. The default
-     * panics; CoreBase-derived models implement it.
+     * that cold-start bias. The cycle cursor remains 0. Invokes
+     * warpModelState() so models with extra architectural mirrors
+     * (the two-pass A-file) re-synchronize. Only legal on a model
+     * that has never run.
      */
-    virtual void
-    warpArchState(const RegFile &regs, const memory::SparseMemory &mem,
-                  InstIdx entry)
-    {
-        (void)regs;
-        (void)mem;
-        (void)entry;
-        ff_panic("model does not support architectural warping");
-    }
+    void warpArchState(const RegFile &regs,
+                       const memory::SparseMemory &mem, InstIdx entry);
 
     /**
-     * Replays a recorded event history untimed into the caches and
-     * the direction predictor of a never-run model — the functional-
-     * warming companion of warpArchState(), turning the cold micro-
-     * architecture the warp leaves behind into the hot state the true
-     * execution would have carried to that point. The default panics;
-     * CoreBase-derived models implement it.
+     * Replays a recorded event history untimed into the caches (tag
+     * and LRU fills) and the direction predictor (one predict/update
+     * pair per recorded outcome) of a never-run model — the
+     * functional-warming companion of warpArchState(), turning the
+     * cold micro-architecture the warp leaves behind into the hot
+     * state the true execution would have carried to that point.
      */
-    virtual void
-    warmMicroArch(const WarmSnapshot &warm)
-    {
-        (void)warm;
-        ff_panic("model does not support micro-architectural warming");
-    }
+    void warmMicroArch(const WarmSnapshot &warm);
 
     /**
      * Re-arms the single-shot run() latch so a run stopped by its
@@ -111,50 +115,47 @@ class CpuModel
      * leg and a measured leg. Panics if the model never ran or
      * already halted.
      */
-    virtual void
+    void
     rearmResume()
     {
-        ff_panic("model does not support mid-run re-arming");
+        ff_panic_if(!_ran, "rearmResume() before any run()");
+        ff_panic_if(_res.halted, "rearmResume() after HALT retired");
+        _resumable = true;
     }
 
     /** Cycles simulated so far — the resume point of a snapshot. */
-    virtual Cycle currentCycle() const { return 0; }
+    Cycle currentCycle() const { return _now; }
 
     /**
-     * Serializes the model's complete simulation state (shared core
-     * subsystems plus model-owned structures). The default panics;
-     * models advertising supportsSnapshot() override it.
+     * Serializes the model's complete simulation state: every shared
+     * subsystem (cycle cursor, run result, accounting, memory,
+     * hierarchy, predictor, front end), then the model section via
+     * the saveModelState() hook.
      */
-    virtual void
-    saveState(serial::Writer &w) const
-    {
-        (void)w;
-        ff_panic("model does not support snapshots");
-    }
+    void saveState(serial::Writer &w) const;
 
     /**
      * Inverse of saveState() onto a freshly constructed instance of
-     * the identical (program, config) pair. Structural mismatches
-     * surface through the reader's failure flag.
+     * the identical (program, config) pair, re-arming run() to
+     * continue from the restored cycle. Structural mismatches surface
+     * through the reader's failure flag.
      */
-    virtual void
-    restoreState(serial::Reader &r)
-    {
-        (void)r;
-        ff_panic("model does not support snapshots");
-    }
+    void restoreState(serial::Reader &r);
 
     /** Architectural register state (the B-file for two-pass). */
-    virtual const RegFile &archRegs() const = 0;
+    const RegFile &archRegs() const { return _ms.regs; }
 
     /** Architectural memory state. */
-    virtual const memory::SparseMemory &memState() const = 0;
+    const memory::SparseMemory &memState() const { return _mem; }
 
     /** Figure-6 cycle classification of the architectural pipe. */
-    virtual const CycleAccounting &cycleAccounting() const = 0;
+    const CycleAccounting &cycleAccounting() const { return _acct; }
 
-    virtual memory::Hierarchy &hierarchy() = 0;
-    virtual const branch::DirectionPredictor &predictor() const = 0;
+    /** The cache hierarchy (its access counters feed the reports). */
+    memory::Hierarchy &hierarchy() { return _hier; }
+
+    /** The direction predictor (its counters feed the reports). */
+    const branch::DirectionPredictor &predictor() const { return *_pred; }
 
     /**
      * Fills the sections of @p out this model owns (two-pass and
@@ -168,6 +169,92 @@ class CpuModel
      * lines (gem5-style), for drivers and debugging.
      */
     virtual std::string statsReport() const = 0;
+
+    /**
+     * Read-only occupancy of the core's structures as of cycle
+     * @p now. The base samples what every model shares (loads
+     * outstanding past the L1); models with more pipeline structure
+     * (the two-pass coupling queue and feedback path) extend it.
+     * Strictly observational: overrides must not mutate state.
+     */
+    virtual OccupancySample occupancy(Cycle now) const;
+
+    /**
+     * Attaches (or detaches, with nullptr) an observer. The pointer
+     * lives in MachineState, so the stage units composed over the
+     * state block see the same attachment.
+     */
+    void setObserver(CoreObserver *obs) { _ms.observer = obs; }
+
+  protected:
+    /**
+     * The shared run loop, instantiated per model: per cycle, ticks
+     * the hierarchy, invokes @p tick_fn (the model's statically-bound
+     * tick), records the cycle class, notifies any observer, and
+     * ticks the front end. Each model's run() wraps its own tick in a
+     * lambda so the per-cycle call devirtualizes and inlines instead
+     * of going through a vtable.
+     *
+     * Single-shot — except that a restoreState() re-arms it to
+     * continue from the restored cycle, and the loop state lives in
+     * members so a run stopped by max_cycles resumes exactly where it
+     * left off after a snapshot round trip.
+     */
+    template <typename TickFn>
+    RunResult
+    runLoop(TickFn &&tick_fn, std::uint64_t max_cycles)
+    {
+        ff_panic_if(_ran && !_resumable,
+                    "CPU models are single-shot; construct anew (or "
+                    "restore a snapshot to resume)");
+        _ran = true;
+        _resumable = false;
+
+        while (!_res.halted && _now < max_cycles) {
+            _hier.tick(_now);
+            const CycleClass cls = tick_fn(_now, _res);
+            _acct.record(cls);
+            if (_ms.observer != nullptr)
+                _ms.observer->onCycle(_now, cls);
+            _fe.tick(_now);
+            ++_now;
+        }
+        _res.cycles = _now;
+        return _res;
+    }
+
+    /**
+     * Serializes the state the concrete model owns beyond the shared
+     * subsystems (register files, scoreboards, queues, counters).
+     */
+    virtual void saveModelState(serial::Writer &w) const = 0;
+
+    /** Exact inverse of saveModelState() on a same-config instance. */
+    virtual void restoreModelState(serial::Reader &r) = 0;
+
+    /**
+     * warpArchState() hook for model-owned mirrors of architectural
+     * state: called after the B-file and memory have been replaced,
+     * before the model runs. The default is a no-op (the baseline and
+     * run-ahead models re-derive their shadows lazily); the two-pass
+     * models synchronize the A-file here.
+     */
+    virtual void warpModelState() {}
+
+    const isa::Program &_prog; ///< the program being simulated
+    CoreConfig _cfg;           ///< the machine configuration
+    memory::SparseMemory _mem; ///< architectural memory
+    memory::Hierarchy _hier;   ///< caches, MSHRs and memory timing
+    std::unique_ptr<branch::DirectionPredictor> _pred; ///< direction
+    FrontEnd _fe;              ///< decoupled fetch
+    CycleAccounting _acct;     ///< Figure-6 cycle classes
+    MachineState _ms; ///< the dense per-cycle hot state (see state/)
+
+  private:
+    bool _ran = false;
+    bool _resumable = false; ///< set by restoreState, spent by run
+    Cycle _now = 0;          ///< cycles simulated so far
+    RunResult _res;          ///< accumulated run outcome
 };
 
 } // namespace cpu

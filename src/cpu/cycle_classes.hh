@@ -55,15 +55,6 @@ struct CycleAccounting
         return counts[static_cast<unsigned>(c)];
     }
 
-    /** Load + non-load + resource stalls (memory-ish stall cycles). */
-    std::uint64_t
-    memoryStallCycles() const
-    {
-        return of(CycleClass::kLoadStall);
-    }
-
-    void reset() { counts = {}; }
-
     /** One-line render for reports. */
     std::string render() const;
 };

@@ -87,6 +87,10 @@ class FrontEnd
 
     const FrontEndStats &stats() const { return _stats; }
 
+    /** The initiator this core's fetches, loads and stores are tagged
+     *  with. */
+    memory::Initiator initiator() const { return _who; }
+
     /** Snapshot hooks: queue, fetch PC, resume cycle and stats. */
     void save(serial::Writer &w) const;
     void restore(serial::Reader &r);

@@ -82,8 +82,6 @@ struct TwoPassStats
     std::uint64_t feedbackApplied = 0;
     std::uint64_t feedbackDropped = 0;
     std::uint64_t registersRepaired = 0; ///< A-file repair volume
-
-    void reset() { *this = TwoPassStats(); }
 };
 
 /**
@@ -103,8 +101,6 @@ struct RunaheadStats
     std::uint64_t runaheadLoads = 0;   ///< prefetching accesses issued
     std::uint64_t runaheadInsts = 0;   ///< pseudo-retired in run-ahead
     std::uint64_t invResults = 0;      ///< INV-propagated results
-
-    void reset() { *this = RunaheadStats(); }
 };
 
 /**

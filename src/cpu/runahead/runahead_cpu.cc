@@ -1,9 +1,6 @@
 #include "cpu/runahead/runahead_cpu.hh"
 
-#include <vector>
-
 #include "cpu/exec.hh"
-#include "cpu/issue_check.hh"
 #include "cpu/stats_report.hh"
 
 namespace ff
@@ -12,12 +9,6 @@ namespace cpu
 {
 
 using isa::Instruction;
-
-RunaheadCpu::RunaheadCpu(const isa::Program &prog,
-                         const CoreConfig &cfg, bool load_image)
-    : CoreBase(prog, cfg, memory::Initiator::kRunahead, load_image)
-{
-}
 
 CycleClass
 RunaheadCpu::tick(Cycle now, RunResult &res)
@@ -57,104 +48,6 @@ RunaheadCpu::tick(Cycle now, RunResult &res)
         _stallStreak = 0;
     }
     return cls;
-}
-
-CycleClass
-RunaheadCpu::tryIssue(Cycle now, RunResult &res)
-{
-    // Normal-mode issue: identical semantics to the baseline core.
-    if (!_fe.headReady(now))
-        return CycleClass::kFrontEndStall;
-
-    const FetchedGroup &g = _fe.head();
-    const InstIdx leader = g.leader;
-    const InstIdx end = g.end;
-
-    const CycleClass stall = checkGroupIssue(
-        _prog, leader, end, _ms.sb, _ms.regs, _hier, _cfg, now);
-    if (stall != CycleClass::kUnstalled)
-        return stall;
-
-    // The group issues now: consume it from the front end before
-    // executing, so a mispredict redirect (which clears the fetch
-    // queue) does not race with the head pop.
-    const FetchedGroup group = g;
-    _fe.pop();
-
-    struct SlotOperands
-    {
-        bool qpred;
-        RegVal s1;
-        RegVal s2;
-    };
-    std::vector<SlotOperands> ops(end - leader);
-    for (InstIdx i = leader; i < end; ++i) {
-        const Instruction &in = _prog.inst(i);
-        SlotOperands &o = ops[i - leader];
-        o.qpred = _ms.regs.readPred(in.qpred);
-        o.s1 = in.src1.valid() ? _ms.regs.read(in.src1) : 0;
-        o.s2 = operandSrc2(
-            in, in.src2.valid() ? _ms.regs.read(in.src2) : 0);
-    }
-
-    for (InstIdx i = leader; i < end; ++i) {
-        const Instruction &in = _prog.inst(i);
-        const SlotOperands &o = ops[i - leader];
-        ++res.instsRetired;
-        if (in.isHalt()) {
-            res.halted = true;
-            break;
-        }
-        EvalResult ev = evaluate(in, o.qpred, o.s1, o.s2);
-        if (ev.isBranch) {
-            _pred->update(group.prediction, ev.taken);
-            if (ev.taken != group.predictedTaken) {
-                const InstIdx target =
-                    ev.taken ? static_cast<InstIdx>(in.imm) : end;
-                _fe.redirect(target, now + 1 + _cfg.branchResolveDelay);
-            }
-            continue;
-        }
-        if (!ev.predTrue)
-            continue;
-        if (ev.isMemAccess) {
-            if (in.isLoad()) {
-                const memory::AccessResult ar =
-                    _hier.access(memory::AccessKind::kLoad,
-                                 memory::Initiator::kRunahead, ev.addr,
-                                 now);
-                ev.dstVal =
-                    loadExtend(in.op, _mem.read(ev.addr, ev.size));
-                _ms.regs.write(in.dst, ev.dstVal);
-                _ms.sb.setPending(in.dst, now + ar.latency,
-                                  PendingKind::kLoad);
-                continue;
-            }
-            _mem.write(ev.addr, ev.storeVal, ev.size);
-            _hier.access(memory::AccessKind::kStore,
-                         memory::Initiator::kRunahead, ev.addr, now);
-            continue;
-        }
-        const unsigned lat = in.execLatency();
-        if (ev.writesDst) {
-            _ms.regs.write(in.dst, ev.dstVal);
-            if (lat > 1) {
-                _ms.sb.setPending(in.dst, now + lat,
-                                  PendingKind::kNonLoad);
-            }
-        }
-        if (ev.writesDst2) {
-            _ms.regs.write(in.dst2, ev.dst2Val);
-            if (lat > 1) {
-                _ms.sb.setPending(in.dst2, now + lat,
-                                  PendingKind::kNonLoad);
-            }
-        }
-    }
-
-    ++res.groupsRetired;
-    notifyGroupRetire(now, leader, static_cast<unsigned>(end - leader));
-    return CycleClass::kUnstalled;
 }
 
 void
@@ -320,8 +213,7 @@ RunaheadCpu::statsReport() const
 void
 RunaheadCpu::saveModelState(serial::Writer &w) const
 {
-    _ms.regs.save(w);
-    _ms.sb.save(w);
+    BaselineCpu::saveModelState(w);
     saveStats(w, _raStats);
 
     w.boolean(_inRunahead);
@@ -344,8 +236,7 @@ RunaheadCpu::saveModelState(serial::Writer &w) const
 void
 RunaheadCpu::restoreModelState(serial::Reader &r)
 {
-    _ms.regs.restore(r);
-    _ms.sb.restore(r);
+    BaselineCpu::restoreModelState(r);
     restoreStats(r, _raStats);
 
     _inRunahead = r.boolean();

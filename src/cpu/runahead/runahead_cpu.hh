@@ -9,10 +9,13 @@
  * load returns, then restores the checkpoint and resumes normally,
  * discarding all run-ahead results.
  *
- * The architectural file/scoreboard and the run-ahead shadow copies
- * (checkpoint file, INV bitset, shadow scoreboard) all live in
- * CoreBase's MachineState; checkpointing copies only the slots dirty
- * since the last episode instead of the whole file.
+ * Normal mode is the baseline core: RunaheadCpu derives from
+ * BaselineCpu and reuses its issue stage, tagging accesses as
+ * run-ahead's own. The architectural file/scoreboard and the
+ * run-ahead shadow copies (checkpoint file, INV bitset, shadow
+ * scoreboard) all live in CpuModel's MachineState; checkpointing
+ * copies only the slots dirty since the last episode instead of the
+ * whole file.
  *
  * This is the comparison point against which two-pass pipelining's
  * retention of pre-executed work is evaluated (bench_runahead).
@@ -23,8 +26,7 @@
 
 #include <map>
 
-#include "cpu/core/core_base.hh"
-#include "cpu/scoreboard.hh"
+#include "cpu/baseline/baseline_cpu.hh"
 
 namespace ff
 {
@@ -35,11 +37,14 @@ namespace cpu
 // abstract model can expose the collectStats() hook.
 
 /** In-order core with run-ahead pre-execution under load stalls. */
-class RunaheadCpu : public CoreBase
+class RunaheadCpu : public BaselineCpu
 {
   public:
-    RunaheadCpu(const isa::Program &prog, const CoreConfig &cfg,
-                bool load_image = true);
+    /** Builds the run-ahead core over @p prog (which must outlive it). */
+    RunaheadCpu(const isa::Program &prog, const CoreConfig &cfg)
+        : BaselineCpu(prog, cfg, memory::Initiator::kRunahead)
+    {
+    }
 
     RunResult
     run(std::uint64_t max_cycles) final
@@ -49,8 +54,7 @@ class RunaheadCpu : public CoreBase
             max_cycles);
     }
 
-    const RegFile &archRegs() const override { return _ms.regs; }
-
+    /** The run-ahead episode counters. */
     const RunaheadStats &runaheadStats() const { return _raStats; }
 
     void
@@ -66,9 +70,8 @@ class RunaheadCpu : public CoreBase
     void restoreModelState(serial::Reader &r) override;
 
   private:
+    /** Normal-mode issue, or one cycle of a run-ahead episode. */
     CycleClass tick(Cycle now, RunResult &res);
-
-    CycleClass tryIssue(Cycle now, RunResult &res);
 
     /** Enters run-ahead: checkpoint and mark pending regs INV. */
     void enterRunahead(Cycle now, Cycle exit_at);

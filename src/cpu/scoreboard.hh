@@ -94,9 +94,8 @@ class Scoreboard
         return _kind[slot];
     }
 
-    /** Raw per-slot reads for bitset-driven scans. */
+    /** Raw per-slot read for bitset-driven scans. */
     Cycle readyAtSlot(unsigned slot) const { return _readyAt[slot]; }
-    PendingKind kindAtSlot(unsigned slot) const { return _kind[slot]; }
 
     /**
      * Calls @p fn(slot) for every slot that has ever been marked

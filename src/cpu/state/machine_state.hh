@@ -1,7 +1,7 @@
 /**
  * @file
  * MachineState: the structure-of-arrays home of every per-cycle hot
- * structure a core model mutates. One object, owned by CoreBase,
+ * structure a core model mutates. One object, owned by CpuModel,
  * aggregates:
  *
  *  - the architectural register file (the two-pass B-file) and its
@@ -61,7 +61,7 @@ struct MachineState
     DynId nextId = 1;     ///< dynamic-id allocator (A-pipe dispatch)
     bool aHalted = false; ///< A-pipe saw HALT dispatch; flushes clear
 
-    /** Observer the stage units notify; kept in sync by setObserver. */
+    /** Observer the model and its stage units notify (setObserver). */
     CoreObserver *observer = nullptr;
 
     /**

@@ -206,8 +206,7 @@ class AFile
         return _spec.test(slot);
     }
 
-    /** Packed V/S words, for observers and whole-file scans. */
-    const PackedBits<kNumRegSlots> &validMask() const { return _valid; }
+    /** Packed S words, for whole-file scans. */
     const PackedBits<kNumRegSlots> &specMask() const { return _spec; }
 
     /** Snapshot hooks: the full V/S/DynID/timing sidecar per slot. */

@@ -1,7 +1,7 @@
 /**
  * @file
  * The explicit interface between the two-pass core's stage units.
- * TwoPassCpu (via CoreBase) owns every structure; APipe, BPipe and
+ * TwoPassCpu (via CpuModel) owns every structure; APipe, BPipe and
  * FeedbackPath see the dense per-cycle state through one MachineState
  * reference — the A-file, the B-file and its scoreboard, the coupling
  * queue, and the shared pipe state both pipes mutate (dynamic-id

@@ -8,9 +8,8 @@ namespace ff
 namespace cpu
 {
 
-TwoPassCpu::TwoPassCpu(const isa::Program &prog,
-                       const CoreConfig &cfg, bool load_image)
-    : CoreBase(prog, cfg, memory::Initiator::kApipe, load_image),
+TwoPassCpu::TwoPassCpu(const isa::Program &prog, const CoreConfig &cfg)
+    : CpuModel(prog, cfg, memory::Initiator::kApipe),
       _sbuf(cfg.storeBufferSize),
       _alat(cfg.alatCapacity),
       _ctx{_prog, _cfg, _fe, *_pred, _hier, _mem, _ms, _sbuf, _alat,

@@ -8,9 +8,9 @@
  * instructions, detects store conflicts with a DynID-indexed ALAT,
  * resolves deferred branch mispredictions (B-DET), and feeds
  * committed values back to the A-file over a latency-configurable
- * path. TwoPassCpu itself is a thin composition over the CoreBase
+ * path. TwoPassCpu itself is a thin composition over the CpuModel
  * kernel: the dense per-cycle state (A-file, B-file, scoreboard,
- * coupling queue) lives in CoreBase's MachineState; this class adds
+ * coupling queue) lives in CpuModel's MachineState; this class adds
  * the two-pass-only structures, wires everything into a PipeContext,
  * and sequences the APipe / BPipe / FeedbackPath stage units each
  * tick.
@@ -19,7 +19,7 @@
 #ifndef FF_CPU_TWOPASS_TWOPASS_CPU_HH
 #define FF_CPU_TWOPASS_TWOPASS_CPU_HH
 
-#include "cpu/core/core_base.hh"
+#include "cpu/cpu.hh"
 #include "cpu/scoreboard.hh"
 #include "cpu/twopass/apipe.hh"
 #include "cpu/twopass/bpipe.hh"
@@ -37,11 +37,11 @@ namespace cpu
 // abstract model can expose the collectStats() hook.
 
 /** The two-pass pipelined core. */
-class TwoPassCpu : public CoreBase
+class TwoPassCpu : public CpuModel
 {
   public:
-    TwoPassCpu(const isa::Program &prog, const CoreConfig &cfg,
-               bool load_image = true);
+    /** Builds the two-pass core over @p prog (which must outlive it). */
+    TwoPassCpu(const isa::Program &prog, const CoreConfig &cfg);
 
     RunResult
     run(std::uint64_t max_cycles) final
@@ -51,10 +51,7 @@ class TwoPassCpu : public CoreBase
             max_cycles);
     }
 
-    const RegFile &archRegs() const override { return _ms.regs; }
-
     const TwoPassStats &stats() const { return _stats; }
-    const memory::AlatStats &alatStats() const { return _alat.stats(); }
 
     void
     collectStats(ModelStats &out) const override
@@ -65,20 +62,15 @@ class TwoPassCpu : public CoreBase
 
     std::string statsReport() const override;
 
-    /** Adds the two-pass structures to the common occupancy probe. */
+    /** Adds the two-pass structures to the common occupancy sample. */
     OccupancySample
     occupancy(Cycle now) const override
     {
-        OccupancySample s = CoreBase::occupancy(now);
+        OccupancySample s = CpuModel::occupancy(now);
         s.cqDepth = static_cast<unsigned>(_ms.cq.size());
         s.pendingFeedback = static_cast<unsigned>(_feedback.size());
         return s;
     }
-
-    /** Test access to internal structures. */
-    const AFile &afile() const { return _ms.afile; }
-    const CouplingQueue &couplingQueue() const { return _ms.cq; }
-    const memory::StoreBuffer &storeBuffer() const { return _sbuf; }
 
   protected:
     void saveModelState(serial::Writer &w) const override;

@@ -326,21 +326,6 @@ class WarmHistory
         return s;
     }
 
-    template <typename F>
-    void forEachMem(F &&f) const { _mem.forEach(f); }
-    template <typename F>
-    void
-    forEachFetch(F &&f) const
-    {
-        _fetch.forEach([&](const WarmLruSet::Event &e) { f(e.addr); });
-    }
-    template <typename F>
-    void forEachBranch(F &&f) const { _branch.forEach(f); }
-
-    std::size_t memEvents() const { return _mem.size(); }
-    std::size_t fetchEvents() const { return _fetch.size(); }
-    std::size_t branchEvents() const { return _branch.size(); }
-
   private:
     WarmLruSet _mem;
     WarmLruSet _fetch;

@@ -1,6 +1,7 @@
 #include "isa/assembler.hh"
 
 #include <cctype>
+#include <cerrno>
 #include <cstdlib>
 #include <map>
 #include <sstream>
@@ -23,6 +24,9 @@ struct Scanner
 {
     const std::string &line;
     std::size_t pos = 0;
+    /** Why a well-formed token was rejected (a number that does not
+     *  fit); when set, it is the line's error message. */
+    std::string fault{};
 
     void
     skipSpace()
@@ -70,14 +74,21 @@ struct Scanner
         return line.substr(start, pos - start);
     }
 
-    /** Reads a signed integer (decimal or 0x hex). */
+    /**
+     * Reads a signed integer (decimal, 0x hex or leading-0 octal). It
+     * must fit 64 bits: 0xffffffffffffffff is -1, -0x8000000000000000
+     * is INT64_MIN, and anything larger, or a digit its base lacks,
+     * sets fault.
+     */
     bool
     integer(std::int64_t *out)
     {
         skipSpace();
         std::size_t start = pos;
+        const bool negative = pos < line.size() && line[pos] == '-';
         if (pos < line.size() && (line[pos] == '-' || line[pos] == '+'))
             ++pos;
+        const std::size_t magnitude = pos;
         bool hex = false;
         if (pos + 1 < line.size() && line[pos] == '0' &&
             (line[pos + 1] == 'x' || line[pos + 1] == 'X')) {
@@ -97,15 +108,20 @@ struct Scanner
             pos = start;
             return false;
         }
-        // Parse as unsigned to allow full 64-bit hex constants.
-        const std::string text = line.substr(start, pos - start);
+        // Parse the magnitude unsigned (strtoull would negate a sign
+        // modulo 2^64), then range-check it.
+        const std::string text = line.substr(magnitude, pos - magnitude);
+        char *end = nullptr;
         errno = 0;
-        if (hex || text[0] != '-') {
-            *out = static_cast<std::int64_t>(
-                std::strtoull(text.c_str(), nullptr, 0));
-        } else {
-            *out = std::strtoll(text.c_str(), nullptr, 0);
+        const std::uint64_t v = std::strtoull(text.c_str(), &end, 0);
+        if (*end != '\0' || errno == ERANGE ||
+            (negative && v > std::uint64_t{1} << 63)) {
+            fault = "'" + line.substr(start, pos - start) +
+                    "' is not a 64-bit integer";
+            pos = start;
+            return false;
         }
+        *out = static_cast<std::int64_t>(negative ? 0 - v : v);
         return true;
     }
 
@@ -138,9 +154,12 @@ parseReg(Scanner &s, RegId *out)
             s.pos = save;
             return false;
         }
-        idx = idx * 10 + static_cast<unsigned>(tok[i] - '0');
+        // Once out of range, stay there: a long index must not wrap.
+        if (idx < 64)
+            idx = idx * 10 + static_cast<unsigned>(tok[i] - '0');
     }
     if (idx >= 64) {
+        s.fault = "register index out of range in '" + tok + "'";
         s.pos = save;
         return false;
     }
@@ -206,9 +225,6 @@ assemble(const std::string &source, const std::string &name,
     std::istringstream in(source);
     std::string raw;
     int line_no = 0;
-    auto err = [&](const std::string &msg) {
-        return "line " + std::to_string(line_no) + ": " + msg;
-    };
 
     while (std::getline(in, raw)) {
         ++line_no;
@@ -221,6 +237,10 @@ assemble(const std::string &source, const std::string &name,
         Scanner s{raw};
         if (s.atEnd())
             continue;
+        auto err = [&](const std::string &msg) {
+            return "line " + std::to_string(line_no) + ": " +
+                   (s.fault.empty() ? msg : s.fault);
+        };
 
         // Directives.
         if (s.peek('.')) {

@@ -19,7 +19,8 @@
  *     .poke64 0x1000 42             — initial-memory directives
  *     .pokedouble 0x2000 1.5
  *
- * Immediates accept decimal and 0x hex, with optional sign.
+ * Immediates accept decimal, 0x hex and (leading 0, as in C) octal,
+ * with optional sign, and must fit 64 bits.
  */
 
 #ifndef FF_ISA_ASSEMBLER_HH

@@ -1,6 +1,7 @@
 #include "sim/batch.hh"
 
 #include <atomic>
+#include <climits>
 #include <cstdlib>
 #include <cstring>
 #include <map>
@@ -8,6 +9,7 @@
 #include <tuple>
 #include <unordered_set>
 
+#include "common/cli_number.hh"
 #include "common/engine_trace.hh"
 #include "common/logging.hh"
 #include "common/thread_pool.hh"
@@ -51,22 +53,22 @@ parseJobsFlag(int &argc, char **argv)
     int out = 1;
     for (int i = 1; i < argc; ++i) {
         const char *arg = argv[i];
+        const char *flag = "--jobs";
         const char *value = nullptr;
         if (std::strncmp(arg, "--jobs=", 7) == 0) {
             value = arg + 7;
         } else if (std::strcmp(arg, "--jobs") == 0 ||
                    std::strcmp(arg, "-j") == 0) {
             ff_fatal_if(i + 1 >= argc, arg, " requires a count");
+            flag = arg;
             value = argv[++i];
         } else {
             argv[out++] = argv[i];
             continue;
         }
-        char *end = nullptr;
-        const long v = std::strtol(value, &end, 10);
-        ff_fatal_if(end == value || *end != '\0' || v <= 0,
-                    "bad job count '", value, "'");
-        jobs = static_cast<unsigned>(v);
+        ff_fatal_if(!cli::tryParseNumber(value, jobs) || jobs == 0, "bad ",
+                    flag, " value '", value,
+                    "' (expected a count from 1 to ", UINT_MAX, ")");
     }
     argc = out;
     argv[argc] = nullptr;

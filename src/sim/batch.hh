@@ -144,9 +144,11 @@ unsigned resolveJobs(unsigned requested);
 
 /**
  * Strips "--jobs N" / "--jobs=N" / "-j N" from argv (adjusting argc)
- * and installs the value via setJobs(). Returns the parsed count, or
- * 0 if the flag was absent. Benches call this first so positional
- * arguments (scale, "alt") keep their meaning.
+ * and installs the value via setJobs(). N is a positive integer that
+ * fits an unsigned, in cli::tryParseNumber syntax; anything else is
+ * fatal. Returns the parsed count, or 0 if the flag was absent.
+ * Benches call this first so positional arguments (scale, "alt")
+ * keep their meaning.
  */
 unsigned parseJobsFlag(int &argc, char **argv);
 

@@ -2,7 +2,6 @@
 
 #include <sstream>
 
-#include "cpu/core/core_base.hh"
 #include "isa/disasm.hh"
 #include "sim/harness.hh"
 #include "sim/report.hh"
@@ -25,17 +24,14 @@ MetricsSession::attach(cpu::CpuModel &model)
 {
     if (!_opt.enabled())
         return;
-    cpu::CoreBase *core = model.asCoreBase();
-    if (core == nullptr)
-        return; // functional model: nothing to observe
-    _core = core;
+    _model = &model;
     if (_opt.profile) {
         _profile = std::make_unique<cpu::ProfileObserver>(_prog);
         _fanout.add(_profile.get());
     }
     if (_opt.telemetry) {
         _telemetry = std::make_unique<cpu::TelemetryObserver>(
-            *core, _cfg.couplingQueueSize,
+            model, _cfg.couplingQueueSize,
             _cfg.mem.maxOutstandingLoads, _opt.epochCycles);
         _fanout.add(_telemetry.get());
     }
@@ -44,7 +40,7 @@ MetricsSession::attach(cpu::CpuModel &model)
             _opt.pipeviewMaxEvents);
         _fanout.add(_pipeview.get());
     }
-    core->setObserver(&_fanout);
+    model.setObserver(&_fanout);
 }
 
 MetricsRecord
@@ -52,11 +48,11 @@ MetricsSession::harvest()
 {
     MetricsRecord rec;
     rec.options = _opt;
-    if (_core == nullptr)
+    if (_model == nullptr)
         return rec;
     // Detach before harvesting so a (misuse) later run cannot write
     // into moved-from observers.
-    _core->setObserver(nullptr);
+    _model->setObserver(nullptr);
 
     if (_profile != nullptr) {
         rec.unattributed = _profile->unattributed();

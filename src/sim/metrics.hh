@@ -29,11 +29,6 @@
 
 namespace ff
 {
-namespace cpu
-{
-class CoreBase;
-} // namespace cpu
-
 namespace sim
 {
 
@@ -95,8 +90,7 @@ struct MetricsRecord
 
 /**
  * Owns the observer clients for one run: construct, attach() to the
- * model, run the model, then harvest(). Attaching to a functional
- * (non-CoreBase) model is a no-op and harvests an empty record.
+ * model, run the model, then harvest().
  */
 class MetricsSession
 {
@@ -110,11 +104,11 @@ class MetricsSession
     MetricsSession &operator=(const MetricsSession &) = delete;
 
     /** Builds the requested observers and attaches them to @p model
-     *  (no-op for models outside the CoreBase kernel). */
+     *  (no-op when no metrics are requested). */
     void attach(cpu::CpuModel &model);
 
-    /** True if attach() found a timed core and observers are live. */
-    bool attached() const { return _core != nullptr; }
+    /** True if attach() attached observers. */
+    bool attached() const { return _model != nullptr; }
 
     /** Closes the collection and moves the data into a record. */
     MetricsRecord harvest();
@@ -127,7 +121,7 @@ class MetricsSession
     std::unique_ptr<cpu::TelemetryObserver> _telemetry;
     std::unique_ptr<cpu::PipeViewObserver> _pipeview;
     cpu::FanoutObserver _fanout;
-    cpu::CoreBase *_core = nullptr;
+    cpu::CpuModel *_model = nullptr;
 };
 
 /**

@@ -153,12 +153,11 @@ measureInterval(const isa::Program &prog, CpuKind kind,
     // model is run directly — a snapshot round trip here would be
     // bit-identical (test_sampled verifies the warp+warm
     // fingerprints) and per-interval serialization is the kind of
-    // overhead sampling exists to avoid. Warped models skip their
-    // data-image load (the warp supplies complete memory, and the
-    // checkpoint's copy-on-write image makes that a page-table
-    // copy).
+    // overhead sampling exists to avoid. The warp replaces the
+    // model's memory with the checkpoint's copy-on-write image: a
+    // page-table copy, like the image load it supersedes.
     const std::unique_ptr<cpu::CpuModel> model =
-        cpu::makeModel(kind, prog, cfg, /*load_image=*/prefix);
+        cpu::makeModel(kind, prog, cfg);
     if (!prefix) {
         model->warpArchState(cp.regs, cp.mem, cp.pc);
         model->warmMicroArch(cp.warm);

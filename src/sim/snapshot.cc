@@ -77,8 +77,6 @@ Snapshot
 saveSnapshot(const cpu::CpuModel &model, CpuKind kind,
              const isa::Program &prog, const cpu::CoreConfig &cfg)
 {
-    ff_fatal_if(!model.supportsSnapshot(), "model ", cpuKindName(kind),
-                " does not support snapshots");
     Snapshot snap;
     snap.kind = kind;
     snap.cycle = model.currentCycle();
@@ -95,8 +93,6 @@ restoreSnapshot(cpu::CpuModel &model, const Snapshot &snap,
                 CpuKind kind, const isa::Program &prog,
                 const cpu::CoreConfig &cfg)
 {
-    ff_fatal_if(!model.supportsSnapshot(), "model ", cpuKindName(kind),
-                " does not support snapshots");
     ff_fatal_if(snap.kind != kind, "snapshot of model ",
                 cpuKindName(snap.kind), " cannot restore a ",
                 cpuKindName(kind), " model");
@@ -241,10 +237,8 @@ resumeSnapshot(const isa::Program &prog, CpuKind kind,
                 "); the budget counts total simulated cycles, not "
                 "cycles after the fork");
     verifyProgram(prog, cfg.limits);
-    // restoreSnapshot() replaces memory wholesale, so loading the
-    // data image first would only copy it to throw it away.
     const std::unique_ptr<cpu::CpuModel> model =
-        cpu::makeModel(kind, prog, cfg, /*load_image=*/false);
+        cpu::makeModel(kind, prog, cfg);
     restoreSnapshot(*model, snap, kind, prog, cfg);
 
     const cpu::RunResult run = model->run(max_cycles);

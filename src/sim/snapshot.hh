@@ -2,7 +2,7 @@
  * @file
  * Whole-machine snapshots of a timed model mid-run, and the warm-up
  * fork primitive built on them. A Snapshot captures every bit of
- * simulation state a CoreBase-derived model owns (core kernel, memory
+ * simulation state a timed model owns (core kernel, memory
  * hierarchy, predictor, front end, model structures) behind a
  * versioned binary format, keyed by content hashes of the program and
  * the canonicalized configuration so a snapshot can never silently be
@@ -34,8 +34,10 @@ namespace sim
  * folds this into its keys so stale on-disk artifacts age out.
  * v3: the two-pass CQ depth is a sum and a count, and the hierarchy
  * writes its access counters in the result cache's block order.
+ * v4: the run-ahead core is a baseline core, so its model section
+ * starts with the baseline section (four issue counters included).
  */
-inline constexpr std::uint32_t kSnapshotFormatVersion = 3;
+inline constexpr std::uint32_t kSnapshotFormatVersion = 4;
 
 /** A timed model frozen mid-run. */
 struct Snapshot
@@ -61,9 +63,9 @@ void canonicalizeConfig(const cpu::CoreConfig &cfg, serial::Writer &w);
 std::uint64_t canonicalConfigHash(const cpu::CoreConfig &cfg);
 
 /**
- * Captures @p model (which must advertise supportsSnapshot()) into a
- * Snapshot stamped with the identity hashes of @p prog and @p cfg —
- * pass the same pair the model was constructed from.
+ * Captures @p model into a Snapshot stamped with the identity hashes
+ * of @p prog and @p cfg — pass the same pair the model was
+ * constructed from.
  */
 Snapshot saveSnapshot(const cpu::CpuModel &model, CpuKind kind,
                       const isa::Program &prog,

@@ -4,10 +4,12 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <future>
 #include <mutex>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -134,6 +136,25 @@ TEST(ThreadPool, DestructorCompletesPendingWork)
 TEST(ThreadPool, DefaultJobCountIsPositive)
 {
     EXPECT_GE(defaultJobCount(), 1u);
+}
+
+/** An FF_JOBS past UINT_MAX is malformed, not a count modulo 2^32. */
+TEST(ThreadPool, FfJobsThatDoesNotFitIsIgnored)
+{
+    const unsigned hw = std::thread::hardware_concurrency();
+    const unsigned fallback = hw == 0 ? 1 : hw;
+    const char *old = std::getenv("FF_JOBS");
+    const bool had = old != nullptr;
+    const std::string saved = had ? old : "";
+    for (const char *v :
+         {"4294967297", "4294967296", "99999999999999999999"}) {
+        ::setenv("FF_JOBS", v, 1);
+        EXPECT_EQ(defaultJobCount(), fallback) << v;
+    }
+    if (had)
+        ::setenv("FF_JOBS", saved.c_str(), 1);
+    else
+        ::unsetenv("FF_JOBS");
 }
 
 } // namespace

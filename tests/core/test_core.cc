@@ -12,7 +12,6 @@
 #include <string>
 #include <vector>
 
-#include "cpu/core/core_base.hh"
 #include "cpu/core/model_factory.hh"
 #include "cpu/functional/functional_cpu.hh"
 #include "cpu/model_stats.hh"
@@ -174,7 +173,7 @@ TEST(NameTables, DeferReasonNamesAreTheSchemaSpellings)
 }
 
 /**
- * Attaches a CountingObserver to each model through the CoreBase seam
+ * Attaches a CountingObserver to each model through the CpuModel seam
  * and cross-checks the event counts against the run result and the
  * model's own statistics. This pins the hook-site contract: one
  * onCycle per simulated cycle, slot counts that match retirement,
@@ -189,7 +188,7 @@ TEST(CoreObserverSeam, CountsAgreeWithRunResultsAcrossModels)
         const CpuKind kind = static_cast<CpuKind>(k);
         CountingObserver obs;
         auto model = makeModel(kind, w.program, CoreConfig());
-        model->asCoreBase()->setObserver(&obs);
+        model->setObserver(&obs);
         const RunResult r = model->run(20'000'000);
         ASSERT_TRUE(r.halted) << cpuKindName(kind);
 
@@ -223,9 +222,8 @@ TEST(CoreObserverSeam, DetachStopsEventDelivery)
     const workloads::Workload w = workloads::buildWorkload("130.li", 3);
     CountingObserver obs;
     auto model = makeModel(CpuKind::kTwoPass, w.program, CoreConfig());
-    CoreBase &core = *model->asCoreBase();
-    core.setObserver(&obs);
-    core.setObserver(nullptr);
+    model->setObserver(&obs);
+    model->setObserver(nullptr);
     ASSERT_TRUE(model->run(20'000'000).halted);
     EXPECT_EQ(obs.cycles, 0u);
     EXPECT_EQ(obs.groupRetires, 0u);

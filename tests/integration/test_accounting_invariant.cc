@@ -3,7 +3,7 @@
  * The cycle-accounting conservation law: every simulated cycle of
  * the architectural pipe lands in exactly one Figure-6 class, so the
  * per-class counts of CycleAccounting must sum to RunResult.cycles —
- * for every model, on every bundled workload. The shared CoreBase
+ * for every model, on every bundled workload. The shared CpuModel
  * run loop makes this true by construction (one record() per cycle);
  * this test pins the invariant across all four model kinds so a
  * future model or run-loop change cannot silently double-count or

@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <fstream>
+#include <sstream>
+
 #include "cpu/functional/functional_cpu.hh"
 #include "isa/assembler.hh"
 #include "isa/builder.hh"
+#include "isa/disasm.hh"
 #include "workloads/workload.hh"
 
 #include "support/random_program.hh"
@@ -152,10 +157,51 @@ TEST(Assembler, ErrorMessagesCarryLineNumbers)
               std::string::npos);
 }
 
+/** True if @p err is an error that names line @p line. */
+bool
+errorOnLine(const std::string &err, int line)
+{
+    return err.rfind("line " + std::to_string(line) + ": ", 0) == 0;
+}
+
 TEST(Assembler, RegisterIndexBounds)
 {
     Program p;
     EXPECT_NE(assemble("movi r64 = 1\nhalt\n", "e", &p), "");
+    // Indices that would wrap a 32-bit accumulator back into range.
+    for (const char *src : {"movi r4294967297 = 7\nhalt\n",
+                            "movi r4294967296 = 7\nhalt\n",
+                            "(p4294967297) movi r1 = 7\nhalt\n"}) {
+        EXPECT_TRUE(errorOnLine(assemble(src, "e", &p), 1)) << src;
+    }
+    EXPECT_EQ(mustAssemble("movi r063 = 1\nhalt\n").inst(0).dst,
+              intReg(63));
+}
+
+TEST(Assembler, IntegersMustFit64Bits)
+{
+    Program p;
+    for (const char *src : {"st8 [r1+99999999999999999999] = r2\nhalt\n",
+                            "movi r1 = 0x1ffffffffffffffff\nhalt\n",
+                            "movi r1 = -9223372036854775809\nhalt\n",
+                            "movi r1 = -0xffffffffffffffff\nhalt\n",
+                            "movi r1 = 09\nhalt\n"}) {
+        EXPECT_TRUE(errorOnLine(assemble(src, "e", &p), 1)) << src;
+    }
+    // Every value that fits 64 bits is still taken, modulo 2^64.
+    const Program q = mustAssemble("movi r1 = 0xffffffffffffffff\n"
+                                   "movi r2 = -0x8000000000000000\n"
+                                   "movi r3 = -9223372036854775808\n"
+                                   "movi r4 = 18446744073709551615\n"
+                                   "movi r5 = -0x1\n"
+                                   "movi r6 = 010\n"
+                                   "halt\n");
+    EXPECT_EQ(q.inst(0).imm, -1);
+    EXPECT_EQ(q.inst(1).imm, INT64_MIN);
+    EXPECT_EQ(q.inst(2).imm, INT64_MIN);
+    EXPECT_EQ(q.inst(3).imm, -1);
+    EXPECT_EQ(q.inst(4).imm, -1);
+    EXPECT_EQ(q.inst(5).imm, 8);
 }
 
 TEST(AssemblerDeathTest, AssembleOrDieOnBadInput)
@@ -222,6 +268,57 @@ TEST(AssemblerRoundTrip, RandomProgramsSurviveTextRoundTrip)
         ASSERT_EQ(err, "") << "seed " << seed;
         expectSameInstructions(p, back);
     }
+}
+
+/** The text of the bundled example program @p name. */
+std::string
+exampleSource(const char *name)
+{
+    std::ifstream in(std::string(FF_SOURCE_DIR) + "/examples/asm/" +
+                     name);
+    std::ostringstream text;
+    text << in.rdbuf();
+    return text.str();
+}
+
+/**
+ * Assembler text is a decoder of untrusted bytes. Every single-byte
+ * mutant of the bundled examples must either fail with an error or
+ * assemble to a program that toAssembly() reproduces: the same
+ * disassembly and group leaders at every slot, and the same data.
+ */
+TEST(Assembler, SingleByteMutantsFailOrRoundTrip)
+{
+    std::size_t assembled = 0;
+    for (const char *name : {"dotprod.s", "histogram.s"}) {
+        const std::string src = exampleSource(name);
+        ASSERT_FALSE(src.empty()) << name;
+        for (std::size_t i = 0; i < src.size(); ++i) {
+            for (const unsigned mask : {0x01u, 0x80u, 0xffu}) {
+                std::string mutant = src;
+                mutant[i] = static_cast<char>(
+                    static_cast<unsigned char>(mutant[i]) ^ mask);
+                Program p;
+                if (!assemble(mutant, name, &p).empty())
+                    continue;
+                ++assembled;
+                Program back;
+                ASSERT_EQ(assemble(toAssembly(p), name, &back), "")
+                    << name << " byte " << i << " ^ " << mask;
+                ASSERT_EQ(back.size(), p.size());
+                for (InstIdx k = 0; k < p.size(); ++k) {
+                    ASSERT_EQ(disasm(back.inst(k)), disasm(p.inst(k)))
+                        << name << " byte " << i << " ^ " << mask;
+                    ASSERT_EQ(back.isGroupLeader(k), p.isGroupLeader(k))
+                        << name << " byte " << i << " ^ " << mask;
+                }
+                ASSERT_EQ(back.dataImage().fingerprint(),
+                          p.dataImage().fingerprint())
+                    << name << " byte " << i << " ^ " << mask;
+            }
+        }
+    }
+    EXPECT_GT(assembled, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -2,11 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <climits>
+
 #include "compiler/scheduler.hh"
 #include "cpu/baseline/baseline_cpu.hh"
 #include "cpu/functional/functional_cpu.hh"
 #include "cpu/runahead/runahead_cpu.hh"
 #include "isa/builder.hh"
+#include "workloads/workload.hh"
 
 namespace
 {
@@ -79,6 +82,51 @@ TEST(Runahead, PrefetchingBeatsTheBaseline)
     // Run-ahead warms the caches during stalls: solidly faster on an
     // overlappable miss stream.
     EXPECT_LT(ra_cycles, base_cycles);
+}
+
+/**
+ * With run-ahead never entered, the run-ahead core is the baseline
+ * core: the same cycles, cycle classes, branch outcomes, memory
+ * accesses (under each core's own initiator) and final state.
+ */
+TEST(Runahead, NormalModeIsTheBaselineCore)
+{
+    CoreConfig cfg;
+    cfg.runaheadEntryDelay = UINT_MAX;
+    const auto base_row =
+        static_cast<unsigned>(memory::Initiator::kBaseline);
+    const auto ra_row =
+        static_cast<unsigned>(memory::Initiator::kRunahead);
+    for (const std::string &name : workloads::workloadNames()) {
+        SCOPED_TRACE(name);
+        const workloads::Workload w = workloads::buildWorkload(name, 5);
+        BaselineCpu base(w.program, cfg);
+        RunaheadCpu ra(w.program, cfg);
+        const RunResult rb = base.run(100'000'000);
+        const RunResult rr = ra.run(100'000'000);
+        ASSERT_TRUE(rb.halted);
+        ASSERT_TRUE(rr.halted);
+        EXPECT_EQ(ra.runaheadStats().episodes, 0u);
+
+        EXPECT_EQ(rr.cycles, rb.cycles);
+        EXPECT_EQ(rr.instsRetired, rb.instsRetired);
+        EXPECT_EQ(rr.groupsRetired, rb.groupsRetired);
+        EXPECT_EQ(ra.cycleAccounting().counts,
+                  base.cycleAccounting().counts);
+        EXPECT_EQ(ra.predictor().stats().lookups,
+                  base.predictor().stats().lookups);
+        EXPECT_EQ(ra.predictor().stats().mispredicts,
+                  base.predictor().stats().mispredicts);
+        const memory::AccessStats &ab = base.hierarchy().accessStats();
+        const memory::AccessStats &ar = ra.hierarchy().accessStats();
+        EXPECT_EQ(ar.counts[ra_row], ab.counts[base_row]);
+        EXPECT_EQ(ar.weightedCycles[ra_row],
+                  ab.weightedCycles[base_row]);
+        EXPECT_EQ(ra.archRegs().fingerprint(),
+                  base.archRegs().fingerprint());
+        EXPECT_EQ(ra.memState().fingerprint(),
+                  base.memState().fingerprint());
+    }
 }
 
 TEST(Runahead, EntryDelayReducesEpisodes)

@@ -214,6 +214,23 @@ TEST(Batch, ParseJobsFlagStripsArguments)
     sim::setJobs(0);
 }
 
+/** Counts past UINT_MAX are fatal, not wrapped into a small count;
+ *  so is a count of 0. */
+TEST(BatchDeathTest, JobsFlagRejectsCountsThatDoNotFit)
+{
+    for (const char *count :
+         {"4294967297", "4294967296", "99999999999999999999", "0"}) {
+        const char *argv_in[] = {"bench", "--jobs", count, nullptr};
+        char *argv[4];
+        for (int i = 0; i < 4; ++i)
+            argv[i] = const_cast<char *>(argv_in[i]);
+        int argc = 3;
+        EXPECT_EXIT(sim::parseJobsFlag(argc, argv),
+                    ::testing::ExitedWithCode(1), "bad --jobs value")
+            << count;
+    }
+}
+
 TEST(Batch, ParseJobsFlagHandlesEqualsForm)
 {
     const char *argv_in[] = {"bench", "--jobs=2", nullptr};

@@ -99,8 +99,7 @@ TEST(Sampled, PlanCheckpointsCarryExactArchState)
         SCOPED_TRACE("checkpoint " + std::to_string(i));
         const sim::SampledCheckpoint &cp = plan.checkpoints[i];
         const std::unique_ptr<cpu::CpuModel> m = cpu::makeModel(
-            sim::CpuKind::kTwoPass, w.program, cfg,
-            /*load_image=*/false);
+            sim::CpuKind::kTwoPass, w.program, cfg);
         m->warpArchState(cp.regs, cp.mem, cp.pc);
         m->warmMicroArch(cp.warm);
         const cpu::RunResult run = m->run(sim::kDefaultMaxCycles);

@@ -89,7 +89,6 @@ TEST(Snapshot, RoundTripMidRunEveryKindEveryWorkload)
             const cpu::RunResult firstRun = first->run(cut);
             ASSERT_FALSE(firstRun.halted)
                 << "workload too small to cut at " << cut;
-            ASSERT_TRUE(first->supportsSnapshot());
             EXPECT_EQ(first->currentCycle(), cut);
             const sim::Snapshot snap =
                 sim::saveSnapshot(*first, kind, w.program, cfg);
@@ -294,7 +293,7 @@ TEST(Snapshot, RestoredWritesReachNeitherImageNorSource)
     const std::uint64_t source_fp = source->memState().fingerprint();
 
     const std::unique_ptr<cpu::CpuModel> restored =
-        cpu::makeModel(kind, w.program, cfg, /*load_image=*/false);
+        cpu::makeModel(kind, w.program, cfg);
     sim::restoreSnapshot(*restored, snap, kind, w.program, cfg);
     EXPECT_EQ(memoryBytes(restored->memState()), source_mem);
     ASSERT_TRUE(restored->run(sim::kDefaultMaxCycles).halted);
@@ -333,7 +332,7 @@ TEST(SnapshotDeathTest, MalformedPageTableIsStructurallyCorrupt)
     std::memcpy(&s[second], &s[first], 8);
 
     const std::unique_ptr<cpu::CpuModel> other =
-        cpu::makeModel(kind, w.program, cfg, /*load_image=*/false);
+        cpu::makeModel(kind, w.program, cfg);
     EXPECT_DEATH(sim::restoreSnapshot(*other, snap, kind, w.program, cfg),
                  "structurally corrupt snapshot");
 }

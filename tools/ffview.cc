@@ -20,7 +20,7 @@
 #include <string>
 #include <vector>
 
-#include "cli_number.hh"
+#include "common/cli_number.hh"
 #include "sim/pipe_trace.hh"
 
 using namespace ff;

@@ -29,7 +29,7 @@
 
 #include "analysis/ffcheck.hh"
 #include "analysis/memdep.hh"
-#include "cli_number.hh"
+#include "common/cli_number.hh"
 #include "common/engine_trace.hh"
 #include "compiler/scheduler.hh"
 #include "cpu/functional/functional_cpu.hh"
