@@ -12,9 +12,9 @@
  * (default scale 100; pass "alt" to run the alternate input set,
  * validating that the reproduced shape is not an artifact of one
  * particular seed; --json appends a machine-readable throughput
- * record for the CI bench-smoke step; --warmup N shares an N-cycle
- * warm-up prefix across equal-config sweep cells via snapshot
- * forking — results stay bit-identical. Set FF_CACHE_DIR to reuse
+ * record for the CI bench-smoke step; --warmup N runs each cell's
+ * first N cycles, snapshots the machine and resumes from the
+ * snapshot — results stay bit-identical. Set FF_CACHE_DIR to reuse
  * outcomes across invocations through the result cache.)
  */
 

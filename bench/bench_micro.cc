@@ -153,9 +153,9 @@ BM_SimulateTwoPass(benchmark::State &state)
 }
 BENCHMARK(BM_SimulateTwoPass)->Unit(benchmark::kMillisecond);
 
-/** Per-task overhead of the experiment engine's thread pool. */
+/** Per-loop overhead of the experiment engine's thread pool. */
 void
-BM_ThreadPoolSubmit(benchmark::State &state)
+BM_ThreadPoolParallelFor(benchmark::State &state)
 {
     ThreadPool pool(static_cast<unsigned>(state.range(0)));
     for (auto _ : state) {
@@ -166,7 +166,7 @@ BM_ThreadPoolSubmit(benchmark::State &state)
         benchmark::DoNotOptimize(n.load());
     }
 }
-BENCHMARK(BM_ThreadPoolSubmit)->Arg(1)->Arg(4);
+BENCHMARK(BM_ThreadPoolParallelFor)->Arg(1)->Arg(4);
 
 /**
  * End-to-end batch rate: the whole suite's worth of model variety on

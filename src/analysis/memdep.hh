@@ -56,10 +56,6 @@ class MemDep : public compiler::AliasOracle
      *  @p cfg's program, using @p rd for base resolution. */
     MemDep(const Cfg &cfg, const ReachingDefs &rd);
 
-    /** Symbolic address of memory instruction @p i (invalid if the
-     *  base could not be resolved or @p i is not a memory op). */
-    const SymAddr &addressOf(InstIdx i) const { return _addr[i]; }
-
     /** Access size in bytes of memory instruction @p i. */
     static unsigned accessBytes(const isa::Instruction &in);
 

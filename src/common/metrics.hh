@@ -191,10 +191,6 @@ class Registry
     {
         return _histograms;
     }
-    const std::map<std::string, TimeSeries> &seriesMap() const
-    {
-        return _series;
-    }
 
     /** Closes every series' trailing epoch. */
     void finish();

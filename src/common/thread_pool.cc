@@ -1,7 +1,9 @@
 #include "common/thread_pool.hh"
 
+#include <algorithm>
 #include <cstdlib>
 #include <string>
+#include <utility>
 
 #include "common/cli_number.hh"
 #include "common/engine_trace.hh"
@@ -24,102 +26,62 @@ defaultJobCount()
 }
 
 ThreadPool::ThreadPool(unsigned threads)
+    : _threads(threads == 0 ? defaultJobCount() : threads)
 {
-    if (threads == 0)
-        threads = defaultJobCount();
-    _queues.reserve(threads);
-    for (unsigned i = 0; i < threads; ++i)
-        _queues.push_back(std::make_unique<WorkerQueue>());
-    _workers.reserve(threads);
-    for (unsigned i = 0; i < threads; ++i)
-        _workers.emplace_back([this, i] { workerLoop(i); });
 }
 
 ThreadPool::~ThreadPool()
 {
     {
-        std::lock_guard<std::mutex> lk(_sleepMu);
-        _stop.store(true, std::memory_order_release);
+        std::lock_guard<std::mutex> lk(_mu);
+        _stop = true;
     }
     _wake.notify_all();
-    for (auto &w : _workers)
+    for (std::thread &w : _workers)
         w.join();
 }
 
-std::future<void>
-ThreadPool::submit(std::function<void()> task)
+void
+ThreadPool::drain(const std::function<void(std::size_t)> &fn,
+                  std::size_t n)
 {
-    Task t;
-    t.fn = std::move(task);
-    std::future<void> fut = t.done.get_future();
-
-    // Round-robin placement spreads independent submissions; the
-    // stealing protocol rebalances any skew.
-    const unsigned home = _nextQueue.fetch_add(
-                              1, std::memory_order_relaxed) %
-                          static_cast<unsigned>(_queues.size());
-    {
-        std::lock_guard<std::mutex> lk(_queues[home]->mu);
-        _queues[home]->q.push_back(std::move(t));
-    }
-    _queued.fetch_add(1, std::memory_order_release);
-    _wake.notify_one();
-    return fut;
-}
-
-bool
-ThreadPool::takeTask(unsigned self, Task &out)
-{
-    // Own queue first, hot end.
-    {
-        WorkerQueue &mine = *_queues[self];
-        std::lock_guard<std::mutex> lk(mine.mu);
-        if (!mine.q.empty()) {
-            out = std::move(mine.q.back());
-            mine.q.pop_back();
-            _queued.fetch_sub(1, std::memory_order_release);
-            return true;
+    for (;;) {
+        const std::size_t i = _next.fetch_add(1, std::memory_order_relaxed);
+        if (i >= n)
+            return;
+        try {
+            fn(i);
+        } catch (...) {
+            std::lock_guard<std::mutex> lk(_mu);
+            if (!_error)
+                _error = std::current_exception();
         }
     }
-    // Steal the oldest task from the first non-empty victim.
-    const unsigned n = static_cast<unsigned>(_queues.size());
-    for (unsigned d = 1; d < n; ++d) {
-        WorkerQueue &victim = *_queues[(self + d) % n];
-        std::lock_guard<std::mutex> lk(victim.mu);
-        if (!victim.q.empty()) {
-            out = std::move(victim.q.front());
-            victim.q.pop_front();
-            _queued.fetch_sub(1, std::memory_order_release);
-            return true;
-        }
-    }
-    return false;
 }
 
 void
 ThreadPool::workerLoop(unsigned self)
 {
     engine::laneName("worker-" + std::to_string(self));
+    std::uint64_t seen = 0;
+    std::unique_lock<std::mutex> lk(_mu);
     for (;;) {
-        Task t;
-        if (takeTask(self, t)) {
-            try {
-                t.fn();
-                t.done.set_value();
-            } catch (...) {
-                t.done.set_exception(std::current_exception());
-            }
-            continue;
-        }
-        std::unique_lock<std::mutex> lk(_sleepMu);
-        _wake.wait(lk, [this] {
-            return _stop.load(std::memory_order_acquire) ||
-                   _queued.load(std::memory_order_acquire) != 0;
+        // A worker that wakes after its loop closed finds _fn null and
+        // sleeps on; one that already helped waits for the next loop.
+        _wake.wait(lk, [&] {
+            return _stop || (_fn != nullptr && _loop != seen);
         });
-        if (_stop.load(std::memory_order_acquire) &&
-            _queued.load(std::memory_order_acquire) == 0) {
+        if (_stop)
             return;
-        }
+        seen = _loop;
+        const std::function<void(std::size_t)> &fn = *_fn;
+        const std::size_t n = _n;
+        ++_helpers;
+        lk.unlock();
+        drain(fn, n);
+        lk.lock();
+        if (--_helpers == 0)
+            _done.notify_one();
     }
 }
 
@@ -129,44 +91,32 @@ ThreadPool::parallelFor(std::size_t n,
 {
     if (n == 0)
         return;
+    const std::size_t wanted = std::min<std::size_t>(_threads, n - 1);
+    while (_workers.size() < wanted) {
+        const unsigned self = static_cast<unsigned>(_workers.size());
+        _workers.emplace_back([this, self] { workerLoop(self); });
+    }
+    {
+        std::lock_guard<std::mutex> lk(_mu);
+        ff_panic_if(_fn != nullptr, "ThreadPool loops must not nest");
+        _fn = &fn;
+        _n = n;
+        _next.store(0, std::memory_order_relaxed);
+        ++_loop;
+    }
+    _wake.notify_all();
 
-    // Shared claim counter: each participant takes the next unclaimed
-    // index. Work assignment is nondeterministic; callers regain
-    // determinism by writing results into slot [i].
-    auto next = std::make_shared<std::atomic<std::size_t>>(0);
-    auto first_error = std::make_shared<std::once_flag>();
-    auto error = std::make_shared<std::exception_ptr>();
+    drain(fn, n); // the caller participates instead of blocking idle
 
-    auto drain = [next, first_error, error, &fn, n] {
-        for (;;) {
-            const std::size_t i =
-                next->fetch_add(1, std::memory_order_relaxed);
-            if (i >= n)
-                return;
-            try {
-                fn(i);
-            } catch (...) {
-                std::call_once(*first_error, [&] {
-                    *error = std::current_exception();
-                });
-            }
-        }
-    };
-
-    // One helper task per worker is enough: each drains the counter.
-    std::vector<std::future<void>> helpers;
-    const std::size_t fanout =
-        n < _workers.size() ? n : _workers.size();
-    helpers.reserve(fanout);
-    for (std::size_t w = 0; w < fanout; ++w)
-        helpers.push_back(submit(drain));
-
-    drain(); // the caller participates instead of blocking idle
-
-    for (auto &h : helpers)
-        h.get();
-    if (*error)
-        std::rethrow_exception(*error);
+    std::exception_ptr error;
+    {
+        std::unique_lock<std::mutex> lk(_mu);
+        _fn = nullptr; // every index is claimed: close the loop
+        _done.wait(lk, [this] { return _helpers == 0; });
+        error = std::exchange(_error, nullptr);
+    }
+    if (error)
+        std::rethrow_exception(error);
 }
 
 } // namespace ff

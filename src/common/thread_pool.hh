@@ -1,16 +1,10 @@
 /**
  * @file
- * A work-stealing thread pool for the experiment engine. Each worker
- * owns a deque of tasks: it pushes and pops at the back (LIFO, cache
- * warm) and victims are robbed from the front (FIFO, oldest first),
- * the classic Chase-Lev discipline implemented here with per-deque
- * locks — contention is one uncontended lock per task in the common
- * case, far below the cost of a simulate() call.
- *
- * parallelFor() is the deterministic fan-out primitive built on top:
- * indices are claimed from a shared atomic counter, results land in
- * caller-indexed slots, and the first exception (if any) is rethrown
- * on the calling thread after the loop quiesces.
+ * A plain thread pool for the experiment engine. parallelFor() runs
+ * one loop of independent indices on persistent workers and on the
+ * calling thread: indices are claimed from a shared atomic counter,
+ * results land in caller-indexed slots, and the first exception (if
+ * any) is rethrown on the calling thread after the loop quiesces.
  */
 
 #ifndef FF_COMMON_THREAD_POOL_HH
@@ -19,10 +13,9 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
-#include <deque>
+#include <cstdint>
 #include <exception>
 #include <functional>
-#include <future>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -38,70 +31,58 @@ namespace ff
  */
 unsigned defaultJobCount();
 
-/** Work-stealing pool of persistent worker threads. */
+/** Persistent workers that run one parallelFor() loop at a time. */
 class ThreadPool
 {
   public:
     /**
-     * Starts @p threads workers (0 = defaultJobCount()). A pool of
-     * one worker still runs tasks on that worker, preserving the
-     * submit/wait protocol of larger pools.
+     * Allows up to @p threads workers (0 = defaultJobCount()). They
+     * start on demand: a loop of n indices starts at most n - 1 of
+     * them, since the caller runs indices too.
      */
     explicit ThreadPool(unsigned threads = 0);
 
-    /** Joins all workers; pending tasks are completed first. */
+    /** Joins every started worker. */
     ~ThreadPool();
 
     ThreadPool(const ThreadPool &) = delete;
     ThreadPool &operator=(const ThreadPool &) = delete;
 
-    unsigned threadCount() const
-    {
-        return static_cast<unsigned>(_workers.size());
-    }
+    /** The most workers a loop uses besides the calling thread. */
+    unsigned threadCount() const { return _threads; }
 
     /**
-     * Enqueues @p task and returns a future for its completion. An
-     * exception escaping the task is captured into the future.
-     */
-    std::future<void> submit(std::function<void()> task);
-
-    /**
-     * Runs fn(i) for every i in [0, n), fanned out across the
-     * workers; the calling thread participates, so a pool is never
-     * idle-blocked on its own caller. Rethrows the first task
-     * exception after every index has been claimed and finished.
+     * Runs fn(i) for every i in [0, n) on the workers and the calling
+     * thread, so a loop runs on at most threadCount() + 1 threads.
+     * Returns once every index has finished, rethrowing the first
+     * exception fn threw. Loops must not nest or overlap.
      */
     void parallelFor(std::size_t n,
                      const std::function<void(std::size_t)> &fn);
 
   private:
-    struct Task
-    {
-        std::function<void()> fn;
-        std::promise<void> done;
-    };
-
-    /** One worker's lock-guarded deque (back = hot end). */
-    struct WorkerQueue
-    {
-        std::mutex mu;
-        std::deque<Task> q;
-    };
-
     void workerLoop(unsigned self);
 
-    /** Pops from own back, else steals from a victim's front. */
-    bool takeTask(unsigned self, Task &out);
+    /** Runs unclaimed indices of the open loop until none are left. */
+    void drain(const std::function<void(std::size_t)> &fn,
+               std::size_t n);
 
-    std::vector<std::unique_ptr<WorkerQueue>> _queues;
-    std::vector<std::thread> _workers;
+    const unsigned _threads;
 
-    std::mutex _sleepMu;
-    std::condition_variable _wake;
-    std::atomic<std::size_t> _queued{0};  ///< enqueued, not yet taken
-    std::atomic<unsigned> _nextQueue{0};  ///< round-robin submit cursor
-    std::atomic<bool> _stop{false};
+    // The open loop. Everything but _next is guarded by _mu.
+    std::mutex _mu;
+    std::condition_variable _wake; ///< a loop opened, or stop
+    std::condition_variable _done; ///< the last helper left the loop
+    /** The open loop's body; null while no loop is open. */
+    const std::function<void(std::size_t)> *_fn = nullptr;
+    std::size_t _n = 0;        ///< the open loop's index count
+    std::uint64_t _loop = 0;   ///< loops opened so far
+    unsigned _helpers = 0;     ///< workers inside the open loop
+    std::exception_ptr _error; ///< first exception of the open loop
+    bool _stop = false;
+    std::atomic<std::size_t> _next{0}; ///< next unclaimed index
+
+    std::vector<std::thread> _workers; ///< started on demand
 };
 
 } // namespace ff

@@ -173,18 +173,5 @@ DepGraph::addEdge(std::uint32_t from, std::uint32_t to, unsigned sep,
     ++_inDegree[to];
 }
 
-const char *
-depKindName(DepKind k)
-{
-    switch (k) {
-      case DepKind::kRaw: return "RAW";
-      case DepKind::kWaw: return "WAW";
-      case DepKind::kWar: return "WAR";
-      case DepKind::kMemOrder: return "memory-order";
-      case DepKind::kControl: return "control";
-    }
-    return "?";
-}
-
 } // namespace compiler
 } // namespace ff

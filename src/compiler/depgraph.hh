@@ -77,8 +77,6 @@ enum class DepKind : std::uint8_t
     kControl,  ///< ordering against block-terminating control flow
 };
 
-const char *depKindName(DepKind k);
-
 /** One dependence edge between instructions of a block. */
 struct DepEdge
 {

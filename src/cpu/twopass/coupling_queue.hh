@@ -165,7 +165,6 @@ class CouplingQueue
     RegVal dst2Val(std::size_t i) const { return _dst2Val[phys(i)]; }
     Cycle readyAt(std::size_t i) const { return _readyAt[phys(i)]; }
     Addr addr(std::size_t i) const { return _addr[phys(i)]; }
-    unsigned accessSize(std::size_t i) const { return _size[phys(i)]; }
     InstIdx fallthrough(std::size_t i) const { return _fallthrough[phys(i)]; }
     const branch::Prediction &
     prediction(std::size_t i) const

@@ -135,13 +135,6 @@ Program::dropContentMemo()
 }
 
 void
-Program::pokeBytes(Addr addr, const void *bytes, std::size_t len)
-{
-    _data.writeBytes(addr, bytes, len);
-    dropContentMemo();
-}
-
-void
 Program::poke64(Addr addr, std::uint64_t value)
 {
     _data.write64(addr, value);

@@ -67,7 +67,6 @@ class Program
             memory::SparseMemory image = {});
 
     const std::string &name() const { return _name; }
-    void setName(std::string n) { _name = std::move(n); }
 
     const std::vector<Instruction> &insts() const { return _insts; }
     const Instruction &inst(InstIdx i) const { return _insts.at(i); }
@@ -119,9 +118,6 @@ class Program
     {
         return kTextBase + static_cast<Addr>(i) * kBytesPerInst;
     }
-
-    /** Writes raw bytes into the initial data image. */
-    void pokeBytes(Addr addr, const void *bytes, std::size_t len);
 
     /** Convenience: poke a 64-bit little-endian word. */
     void poke64(Addr addr, std::uint64_t value);

@@ -2,9 +2,11 @@
 
 #include <atomic>
 #include <climits>
-#include <cstdlib>
+#include <cstdint>
 #include <cstring>
+#include <functional>
 #include <map>
+#include <memory>
 #include <string>
 #include <tuple>
 #include <unordered_set>
@@ -81,222 +83,153 @@ namespace
 {
 
 /**
- * The sampled-aware batch executor: taken whenever any job samples.
- * Three phases over position-stable vectors (deterministic at any
- * thread count):
- *
- *   A. one functional checkpoint pass per (program, normalized
- *      sampling parameters) group — the plan is kind- and
- *      config-independent, so every model replaying one program
- *      shares it;
- *   B. one pool unit per detailed interval replay of every sampled
- *      job (plain jobs ride along as single units), so a lone
- *      sampled job still saturates the workers;
- *   C. serial stitching and cache stores.
+ * The engine's one fan-out: runs fn(i) for every i in [0, n), inline
+ * when the resolved job count is 1 or there is one index, else on a
+ * pool built on first use, so one batch call builds at most one pool.
  */
-std::vector<SimOutcome>
-runSampledBatch(std::span<const SimJob> jobs, unsigned threads)
+class FanOut
 {
-    std::vector<SimOutcome> out(jobs.size());
+  public:
+    explicit FanOut(unsigned threads) : _jobs(resolveJobs(threads)) {}
 
-    // ---- cache pass (serial: file reads, no simulation) ------------
-    const bool cache = resultCacheEnabled();
-    std::vector<std::string> keys(jobs.size());
-    std::vector<char> resolved(jobs.size(), 0);
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-        const SimJob &j = jobs[i];
-        ff_fatal_if(j.sampled.enabled() && j.metrics.enabled(),
-                    "sampled jobs cannot collect metrics (observers "
-                    "need the whole run)");
-        if (!cache || j.metrics.enabled())
-            continue;
-        keys[i] = resultCacheKey(*j.program, j.kind, j.cfg,
-                                 j.maxCycles, j.sampled);
-        if (resultCacheLookup(keys[i], out[i]))
-            resolved[i] = 1;
-    }
-
-    // ---- group sampled jobs by (program, sampling parameters) ------
-    struct PlanGroup
+    void
+    operator()(std::size_t n, const std::function<void(std::size_t)> &fn)
     {
-        std::size_t first; ///< representative job index
-        SampledPlan plan;
-    };
-    using PlanKey =
-        std::tuple<const isa::Program *, std::uint64_t, std::uint64_t,
-                   std::uint64_t, std::uint64_t>;
-    std::map<PlanKey, std::size_t> groupOf;
-    std::vector<PlanGroup> groups;
-    std::vector<std::size_t> jobGroup(jobs.size(), SIZE_MAX);
-    std::vector<std::size_t> pending; // unresolved jobs, any bin
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-        if (resolved[i])
-            continue;
-        pending.push_back(i);
-        if (!jobs[i].sampled.enabled())
-            continue;
-        const SampledOptions o = jobs[i].sampled.normalized();
-        const PlanKey k{jobs[i].program, o.intervalCycles,
-                        o.detailCycles, o.warmupCycles,
-                        o.maxIntervals};
-        const auto [it, fresh] = groupOf.emplace(k, groups.size());
-        if (fresh)
-            groups.push_back(PlanGroup{i, SampledPlan{}});
-        jobGroup[i] = it->second;
-    }
-
-    const unsigned n = resolveJobs(threads);
-
-    // ---- phase A: one checkpoint pass per plan group ---------------
-    auto plan_one = [&](std::size_t g) {
-        const SimJob &j = jobs[groups[g].first];
-        verifyProgram(*j.program, j.cfg.limits);
-        groups[g].plan =
-            sampledCheckpointPass(*j.program, j.sampled.normalized());
-    };
-
-    // ---- phase B: every interval replay is its own pool unit -------
-    struct Unit
-    {
-        std::size_t job;
-        std::size_t interval; ///< SIZE_MAX = plain (whole) job
-    };
-    std::vector<Unit> units;
-    std::vector<std::vector<IntervalMeasure>> measures(jobs.size());
-    auto flatten_units = [&]() {
-        for (const std::size_t i : pending) {
-            if (jobGroup[i] == SIZE_MAX) {
-                units.push_back(Unit{i, SIZE_MAX});
-                continue;
-            }
-            const SampledPlan &plan = groups[jobGroup[i]].plan;
-            measures[i].resize(plan.checkpoints.size());
-            for (std::size_t k = 0; k < plan.checkpoints.size(); ++k)
-                units.push_back(Unit{i, k});
-        }
-    };
-    auto unit_one = [&](std::size_t u) {
-        const Unit &unit = units[u];
-        const SimJob &j = jobs[unit.job];
-        if (unit.interval == SIZE_MAX) {
-            engine::ScopedSpan span("job");
-            out[unit.job] = simulate(*j.program, j.kind, j.cfg,
-                                     j.maxCycles, j.metrics);
+        if (_jobs <= 1 || n <= 1) {
+            for (std::size_t i = 0; i < n; ++i)
+                fn(i);
             return;
         }
-        const SampledPlan &plan = groups[jobGroup[unit.job]].plan;
-        measures[unit.job][unit.interval] = measureInterval(
-            *j.program, j.kind, j.cfg, plan, unit.interval);
-    };
-
-    if (n <= 1) {
-        for (std::size_t g = 0; g < groups.size(); ++g)
-            plan_one(g);
-        flatten_units();
-        for (std::size_t u = 0; u < units.size(); ++u)
-            unit_one(u);
-    } else {
-        ThreadPool pool(n);
-        if (!groups.empty())
-            pool.parallelFor(groups.size(), plan_one);
-        flatten_units();
-        if (!units.empty())
-            pool.parallelFor(units.size(), unit_one);
+        if (_pool == nullptr)
+            _pool = std::make_unique<ThreadPool>(_jobs);
+        _pool->parallelFor(n, fn);
     }
 
-    // ---- phase C: stitch, then store once per content address ------
-    for (const std::size_t i : pending) {
-        if (jobGroup[i] == SIZE_MAX)
-            continue;
-        out[i] = stitchSampled(jobs[i].kind, groups[jobGroup[i]].plan,
-                               measures[i]);
-    }
-    if (cache) {
-        std::unordered_set<std::string> stored;
-        for (const std::size_t i : pending) {
-            if (keys[i].empty() || !stored.insert(keys[i]).second)
-                continue;
-            resultCacheStore(keys[i], out[i]);
-        }
-    }
-    return out;
-}
+  private:
+    unsigned _jobs;
+    std::unique_ptr<ThreadPool> _pool;
+};
 
-} // namespace
-
-std::vector<SimOutcome>
-runBatch(std::span<const SimJob> jobs, unsigned threads)
-{
-    std::vector<SimOutcome> out(jobs.size());
-    if (jobs.empty())
-        return out;
-    for (const SimJob &j : jobs)
-        ff_fatal_if(j.program == nullptr, "SimJob without a program");
-
-    bool any_sampled = false;
-    for (const SimJob &j : jobs)
-        any_sampled = any_sampled || j.sampled.enabled();
-    if (any_sampled)
-        return runSampledBatch(jobs, threads);
-
-    auto run_one = [&](std::size_t i) {
-        engine::ScopedSpan span("job");
-        out[i] = simulateCached(jobs[i]);
-    };
-
-    const unsigned n = resolveJobs(threads);
-    if (n <= 1 || jobs.size() == 1) {
-        for (std::size_t i = 0; i < jobs.size(); ++i)
-            run_one(i);
-        return out;
-    }
-    ThreadPool pool(n);
-    pool.parallelFor(jobs.size(), run_one);
-    return out;
-}
-
+/** One whole plain job: cold, or resumed from its own warm-up. */
 SimOutcome
-simulateCached(const SimJob &j)
+runPlain(const SimJob &j, std::uint64_t warmup_cycles)
 {
-    if (j.sampled.enabled()) {
-        ff_fatal_if(j.metrics.enabled(),
-                    "sampled jobs cannot collect metrics (observers "
-                    "need the whole run)");
-        // Sampled outcomes are keyed separately: the sampling
-        // parameters join the content address, so a sampled estimate
-        // can never answer a detailed query (or vice versa).
-        if (!resultCacheEnabled()) {
-            return simulateSampled(*j.program, j.kind, j.cfg,
-                                   j.sampled, j.maxCycles);
-        }
-        const std::string key = resultCacheKey(
-            *j.program, j.kind, j.cfg, j.maxCycles, j.sampled);
-        SimOutcome out;
-        if (resultCacheLookup(key, out))
-            return out;
-        out = simulateSampled(*j.program, j.kind, j.cfg, j.sampled,
-                              j.maxCycles);
-        resultCacheStore(key, out);
-        return out;
-    }
-    // Metered runs feed observers that must see every cycle; the
-    // cache would hand back a record without the metrics payload.
-    if (j.metrics.enabled() || !resultCacheEnabled()) {
+    if (warmup_cycles == 0 || j.metrics.enabled()) {
         return simulate(*j.program, j.kind, j.cfg, j.maxCycles,
                         j.metrics);
     }
-    const std::string key =
-        resultCacheKey(*j.program, j.kind, j.cfg, j.maxCycles);
-    SimOutcome out;
-    if (resultCacheLookup(key, out))
-        return out;
-    out = simulate(*j.program, j.kind, j.cfg, j.maxCycles, j.metrics);
-    resultCacheStore(key, out);
-    return out;
+    WarmupResult warm = runWarmup(*j.program, j.kind, j.cfg,
+                                  warmup_cycles, j.maxCycles);
+    if (warm.completed)
+        return std::move(warm.outcome);
+    return resumeSnapshot(*j.program, j.kind, j.cfg, warm.snap,
+                          j.maxCycles);
 }
 
-namespace
+/**
+ * The one batch executor. Its phases index position-stable vectors,
+ * so every outcome is bit-identical at any job count:
+ *
+ *   1. a serial cache pass (file reads, no simulation);
+ *   2. one functional checkpoint pass per (program, normalized
+ *      sampling parameters): the plan is kind- and config-independent,
+ *      so every model replaying one program shares it;
+ *   3. one unit per detailed interval replay of a sampled job, so a
+ *      lone sampled job still fills the workers, and one unit per
+ *      whole plain job (see runPlain());
+ *   4. serial stitching, then one store per content address.
+ */
+std::vector<SimOutcome>
+execute(std::span<const SimJob> jobs, unsigned threads,
+        std::uint64_t warmup_cycles)
 {
+    std::vector<SimOutcome> out(jobs.size());
+    const bool cache = resultCacheEnabled();
+    std::vector<std::string> keys(jobs.size());
+    using PlanKey =
+        std::tuple<const isa::Program *, std::uint64_t, std::uint64_t,
+                   std::uint64_t, std::uint64_t>;
+    std::map<PlanKey, std::size_t> planOf;
+    std::vector<std::size_t> planJob; // representative job per plan
+    std::vector<std::size_t> jobPlan(jobs.size(), SIZE_MAX);
+    std::vector<std::size_t> pending; // jobs the cache did not answer
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        const SimJob &j = jobs[i];
+        ff_fatal_if(j.program == nullptr, "SimJob without a program");
+        ff_fatal_if(j.sampled.enabled() && j.metrics.enabled(),
+                    "sampled jobs cannot collect metrics (observers "
+                    "need the whole run)");
+        // Metered runs feed observers that must see every cycle; the
+        // cache would hand back a record without the metrics payload.
+        if (cache && !j.metrics.enabled()) {
+            keys[i] = resultCacheKey(*j.program, j.kind, j.cfg,
+                                     j.maxCycles, j.sampled);
+            if (resultCacheLookup(keys[i], out[i]))
+                continue;
+        }
+        pending.push_back(i);
+        if (!j.sampled.enabled())
+            continue;
+        const SampledOptions o = j.sampled.normalized();
+        const auto [it, fresh] = planOf.emplace(
+            PlanKey{j.program, o.intervalCycles, o.detailCycles,
+                    o.warmupCycles, o.maxIntervals},
+            planJob.size());
+        if (fresh)
+            planJob.push_back(i);
+        jobPlan[i] = it->second;
+    }
+
+    FanOut fan(threads);
+    std::vector<SampledPlan> plans(planJob.size());
+    fan(plans.size(), [&](std::size_t p) {
+        const SimJob &j = jobs[planJob[p]];
+        verifyProgram(*j.program, j.cfg.limits);
+        plans[p] =
+            sampledCheckpointPass(*j.program, j.sampled.normalized());
+    });
+
+    struct Unit
+    {
+        std::size_t job;
+        std::size_t interval; ///< SIZE_MAX = the whole plain job
+    };
+    std::vector<Unit> units;
+    std::vector<std::vector<IntervalMeasure>> measures(jobs.size());
+    for (const std::size_t i : pending) {
+        if (jobPlan[i] == SIZE_MAX) {
+            units.push_back(Unit{i, SIZE_MAX});
+            continue;
+        }
+        measures[i].resize(plans[jobPlan[i]].checkpoints.size());
+        for (std::size_t k = 0; k < measures[i].size(); ++k)
+            units.push_back(Unit{i, k});
+    }
+    fan(units.size(), [&](std::size_t u) {
+        const auto [i, k] = units[u];
+        const SimJob &j = jobs[i];
+        if (k != SIZE_MAX) {
+            measures[i][k] = measureInterval(*j.program, j.kind, j.cfg,
+                                             plans[jobPlan[i]], k);
+            return;
+        }
+        engine::ScopedSpan span("job");
+        out[i] = runPlain(j, warmup_cycles);
+    });
+
+    for (const std::size_t i : pending) {
+        if (jobPlan[i] != SIZE_MAX) {
+            out[i] = stitchSampled(jobs[i].kind, plans[jobPlan[i]],
+                                   measures[i]);
+        }
+    }
+    std::unordered_set<std::string> stored;
+    for (const std::size_t i : pending) {
+        if (!keys[i].empty() && stored.insert(keys[i]).second)
+            resultCacheStore(keys[i], out[i]);
+    }
+    return out;
+}
 
 /** Builds the row-major workloads x variants job grid. */
 std::vector<SimJob>
@@ -321,119 +254,13 @@ sweepJobs(std::span<const workloads::Workload> workloads,
     return jobs;
 }
 
-/**
- * The warm-up-sharing executor. Cells fall into three bins: cache
- * hits (resolved before any simulation), metered cells (always run
- * cold under simulate()), and fork candidates — grouped by (program,
- * kind, canonical config, budget) so each group executes the shared
- * warm-up prefix exactly once and every member resumes from the
- * snapshot. All phases index into position-stable vectors, so the
- * outcome order — and every outcome bit — is independent of the job
- * count.
- */
-std::vector<SimOutcome>
-runForkedBatch(std::span<const SimJob> jobs, const SweepOptions &opts)
-{
-    std::vector<SimOutcome> out(jobs.size());
-    if (jobs.empty())
-        return out;
-    for (const SimJob &j : jobs)
-        ff_fatal_if(j.program == nullptr, "SimJob without a program");
-
-    // ---- cache pass (serial: file reads, no simulation) ------------
-    const bool cache = resultCacheEnabled();
-    std::vector<std::string> keys(jobs.size());
-    std::vector<char> resolved(jobs.size(), 0);
-    if (cache) {
-        for (std::size_t i = 0; i < jobs.size(); ++i) {
-            const SimJob &j = jobs[i];
-            if (j.metrics.enabled())
-                continue;
-            keys[i] = resultCacheKey(*j.program, j.kind, j.cfg,
-                                     j.maxCycles);
-            if (resultCacheLookup(keys[i], out[i]))
-                resolved[i] = 1;
-        }
-    }
-
-    // ---- group the fork candidates ---------------------------------
-    struct Group
-    {
-        std::size_t first; ///< representative job index
-        WarmupResult warm;
-    };
-    using GroupKey = std::tuple<const isa::Program *, unsigned,
-                                std::uint64_t, std::uint64_t>;
-    std::map<GroupKey, std::size_t> groupOf;
-    std::vector<Group> groups;
-    std::vector<std::size_t> cellGroup(jobs.size(), SIZE_MAX);
-    std::vector<std::size_t> pending; // unresolved cells, any bin
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-        if (resolved[i])
-            continue;
-        pending.push_back(i);
-        const SimJob &j = jobs[i];
-        if (j.metrics.enabled())
-            continue; // cold metered run; no fork
-        const GroupKey k{j.program, static_cast<unsigned>(j.kind),
-                         canonicalConfigHash(j.cfg), j.maxCycles};
-        const auto [it, fresh] = groupOf.emplace(k, groups.size());
-        if (fresh)
-            groups.push_back(Group{i, WarmupResult{}});
-        cellGroup[i] = it->second;
-    }
-
-    const unsigned n = resolveJobs(opts.threads);
-
-    // ---- phase A: one shared warm-up per group ---------------------
-    auto warm_one = [&](std::size_t g) {
-        const SimJob &j = jobs[groups[g].first];
-        groups[g].warm = runWarmup(*j.program, j.kind, j.cfg,
-                                   opts.warmupCycles, j.maxCycles);
-    };
-    // ---- phase B: fork every member / run metered cells cold -------
-    auto finish_one = [&](std::size_t p) {
-        const std::size_t i = pending[p];
-        const SimJob &j = jobs[i];
-        if (cellGroup[i] == SIZE_MAX) {
-            engine::ScopedSpan span("job");
-            out[i] = simulate(*j.program, j.kind, j.cfg, j.maxCycles,
-                              j.metrics);
-            return;
-        }
-        const WarmupResult &warm = groups[cellGroup[i]].warm;
-        out[i] = warm.completed
-            ? warm.outcome
-            : resumeSnapshot(*j.program, j.kind, j.cfg, warm.snap,
-                             j.maxCycles);
-    };
-
-    if (n <= 1) {
-        for (std::size_t g = 0; g < groups.size(); ++g)
-            warm_one(g);
-        for (std::size_t p = 0; p < pending.size(); ++p)
-            finish_one(p);
-    } else {
-        ThreadPool pool(n);
-        if (!groups.empty())
-            pool.parallelFor(groups.size(), warm_one);
-        if (!pending.empty())
-            pool.parallelFor(pending.size(), finish_one);
-    }
-
-    // ---- store pass: once per unique content address ---------------
-    if (cache) {
-        std::unordered_set<std::string> stored;
-        for (const std::size_t i : pending) {
-            if (keys[i].empty() || !stored.insert(keys[i]).second)
-                continue;
-            resultCacheStore(keys[i], out[i]);
-        }
-    }
-    return out;
-}
-
 } // namespace
+
+std::vector<SimOutcome>
+runBatch(std::span<const SimJob> jobs, unsigned threads)
+{
+    return execute(jobs, threads, 0);
+}
 
 std::vector<SimOutcome>
 runSweep(std::span<const workloads::Workload> workloads,
@@ -448,18 +275,8 @@ runSweep(std::span<const workloads::Workload> workloads,
          std::span<const SweepVariant> variants,
          const SweepOptions &opts)
 {
-    const std::vector<SimJob> jobs =
-        sweepJobs(workloads, variants, opts.maxCycles);
-    // Sampled cells replay from functional checkpoints — a shared
-    // timed warm-up prefix has nothing to fork for them — so a grid
-    // with any sampled column routes through the sampled-aware batch
-    // engine instead of the warm-up-sharing executor.
-    bool any_sampled = false;
-    for (const SweepVariant &v : variants)
-        any_sampled = any_sampled || v.sampled.enabled();
-    if (opts.warmupCycles == 0 || any_sampled)
-        return runBatch(jobs, opts.threads);
-    return runForkedBatch(jobs, opts);
+    return execute(sweepJobs(workloads, variants, opts.maxCycles),
+                   opts.threads, opts.warmupCycles);
 }
 
 std::vector<FunctionalOutcome>
@@ -467,23 +284,11 @@ runFunctionalBatch(std::span<const isa::Program *const> programs,
                    unsigned threads)
 {
     std::vector<FunctionalOutcome> out(programs.size());
-    if (programs.empty())
-        return out;
-
-    auto run_one = [&](std::size_t i) {
+    FanOut{threads}(programs.size(), [&](std::size_t i) {
         ff_fatal_if(programs[i] == nullptr,
                     "functional batch without a program");
         out[i] = runFunctional(*programs[i]);
-    };
-
-    const unsigned n = resolveJobs(threads);
-    if (n <= 1 || programs.size() == 1) {
-        for (std::size_t i = 0; i < programs.size(); ++i)
-            run_one(i);
-        return out;
-    }
-    ThreadPool pool(n);
-    pool.parallelFor(programs.size(), run_one);
+    });
     return out;
 }
 
@@ -492,23 +297,11 @@ buildWorkloadsParallel(std::span<const std::string> names, int scale,
                        workloads::InputSet input, unsigned threads)
 {
     std::vector<workloads::Workload> out(names.size());
-    if (names.empty())
-        return out;
-
-    auto build_one = [&](std::size_t i) {
+    FanOut{threads}(names.size(), [&](std::size_t i) {
         engine::ScopedSpan span("build");
         out[i] = workloads::buildWorkload(
             names[i], scale, compiler::SchedulerConfig(), input);
-    };
-
-    const unsigned n = resolveJobs(threads);
-    if (n <= 1 || names.size() == 1) {
-        for (std::size_t i = 0; i < names.size(); ++i)
-            build_one(i);
-        return out;
-    }
-    ThreadPool pool(n);
-    pool.parallelFor(names.size(), build_one);
+    });
     return out;
 }
 

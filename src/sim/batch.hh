@@ -1,11 +1,12 @@
 /**
  * @file
  * The parallel experiment engine. Every experiment in the repo is a
- * grid of independent, deterministic sim::simulate() calls; runBatch
- * executes such a grid across a work-stealing thread pool and returns
- * the outcomes in submission order, so every table, figure and
- * fingerprint a bench prints is bit-identical to the serial run
- * regardless of the job count.
+ * grid of independent, deterministic simulations; runBatch executes
+ * such a grid on one thread pool and returns the outcomes in
+ * submission order, so every table, figure and fingerprint a bench
+ * prints is bit-identical to the serial run regardless of the job
+ * count. Every batch, detailed, sampled, cached or warm-up-forked,
+ * goes through the same executor.
  *
  * Job-count resolution, everywhere a count of 0 is passed:
  *   1. the per-process override (setJobs(), set by --jobs in benches),
@@ -49,13 +50,17 @@ struct SimJob
  * Runs every job, fanned out over @p threads workers (0 = resolved
  * default), and returns outcomes with outcome[i] belonging to
  * jobs[i]. A resolved count of 1 runs inline on the calling thread —
- * "--jobs 1" is genuinely serial, not a one-thread pool.
+ * "--jobs 1" is genuinely serial, not a one-thread pool — and no
+ * loop starts more workers than it has units.
  *
- * Sampled jobs are decomposed: one functional checkpoint pass per
- * (program, sampling parameters) — shared across model kinds — then
- * every detailed interval replay of every job becomes its own pool
- * unit, so a single sampled job already saturates the workers.
- * Outcomes remain bit-identical at any thread count.
+ * Jobs that collect no metrics are answered from the result cache
+ * when one is configured (FF_CACHE_DIR / --cache-dir); a miss is
+ * simulated and stored once per content address. Sampled jobs are
+ * decomposed: one functional checkpoint pass per (program, sampling
+ * parameters), shared across model kinds, then every detailed
+ * interval replay becomes its own unit, so a single sampled job
+ * already fills the workers. Outcomes are bit-identical at any
+ * thread count.
  */
 std::vector<SimOutcome> runBatch(std::span<const SimJob> jobs,
                                  unsigned threads = 0);
@@ -82,17 +87,17 @@ std::vector<SimOutcome> runSweep(
     std::span<const workloads::Workload> workloads,
     std::span<const SweepVariant> variants, unsigned threads = 0);
 
-/** Execution knobs for the warm-up-sharing sweep engine. */
+/** Execution knobs for runSweep(). */
 struct SweepOptions
 {
     unsigned threads = 0; ///< 0 = resolved default (see header rules)
 
     /**
-     * Shared warm-up prefix length in cycles; 0 disables forking.
-     * Cells agreeing on (program, kind, canonical config) execute
-     * the first warmupCycles once, snapshot the machine, and fork
-     * every member from the saved state. Restore is bit-exact, so
-     * outcomes are bit-identical to cold runs at any job count.
+     * Warm-up prefix length in cycles; 0 disables forking. Each plain
+     * cell without metrics runs its first warmupCycles, snapshots the
+     * machine, and resumes from the saved state. Restore is
+     * bit-exact, so outcomes are bit-identical to cold runs at any
+     * job count.
      */
     std::uint64_t warmupCycles = 0;
 
@@ -102,22 +107,13 @@ struct SweepOptions
 };
 
 /**
- * As runSweep(workloads, variants, threads), plus warm-up forking
- * per @p opts. Cells resolved by the result cache skip simulation
- * entirely; cells collecting metrics always run cold and unmetered
- * observers-free cells fork from the group snapshot.
+ * As runSweep(workloads, variants, threads), with the cycle budget and
+ * warm-up forking of @p opts. Cells resolved by the result cache skip
+ * simulation entirely, and cells collecting metrics always run cold.
  */
 std::vector<SimOutcome> runSweep(
     std::span<const workloads::Workload> workloads,
     std::span<const SweepVariant> variants, const SweepOptions &opts);
-
-/**
- * One cache-aware simulation: consults the result cache (when
- * configured and the job collects no metrics), simulating and
- * storing on a miss. runBatch routes every job through this, so any
- * bench inherits caching by setting FF_CACHE_DIR / --cache-dir.
- */
-SimOutcome simulateCached(const SimJob &job);
 
 /** Functional-reference outcomes for a set of programs, in order. */
 std::vector<FunctionalOutcome> runFunctionalBatch(

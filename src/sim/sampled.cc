@@ -6,10 +6,7 @@
 #include "common/engine_trace.hh"
 #include "common/logging.hh"
 #include "common/random.hh"
-#include "common/thread_pool.hh"
 #include "cpu/functional/functional_cpu.hh"
-#include "sim/batch.hh"
-#include "sim/snapshot.hh"
 #include "workloads/kernels.hh"
 
 namespace ff
@@ -58,14 +55,6 @@ sampledCheckpointPass(const isa::Program &prog,
     cpu::FunctionalCpu fcpu(prog);
     cpu::WarmHistory hist;
     fcpu.setWarmHistory(&hist);
-    // Stratified placement: one checkpoint lands uniformly at random
-    // inside each spacing-sized stratum of the instruction axis
-    // instead of exactly on the grid. The synthetic kernels are
-    // strongly periodic, and a fixed grid whose spacing resonates
-    // with a loop period would sample one phase offset over and over
-    // (classic systematic-sampling aliasing). The jitter stream is
-    // seeded from the program, so plans — and therefore sampled
-    // outcomes — stay bit-reproducible.
     Rng jitter(prog.instStreamHash() ^ plan.spacing);
     cpu::FunctionalResult res;
     // Checkpoint 0 is the entry state and its replay is an *exact*
@@ -364,35 +353,6 @@ stitchSampled(CpuKind kind, const SampledPlan &plan,
     out.checksum = plan.checksum;
     out.sampled = std::move(est);
     return out;
-}
-
-SimOutcome
-simulateSampled(const isa::Program &prog, CpuKind kind,
-                const cpu::CoreConfig &cfg,
-                const SampledOptions &sampled,
-                std::uint64_t max_cycles, unsigned threads)
-{
-    (void)max_cycles; // cache-key parity only; see header
-    const SampledOptions opts = sampled.normalized();
-    ff_fatal_if(!opts.enabled(),
-                "simulateSampled() without --sample parameters");
-    verifyProgram(prog, cfg.limits);
-
-    const SampledPlan plan = sampledCheckpointPass(prog, opts);
-
-    std::vector<IntervalMeasure> measures(plan.checkpoints.size());
-    auto measure_one = [&](std::size_t i) {
-        measures[i] = measureInterval(prog, kind, cfg, plan, i);
-    };
-    const unsigned n = resolveJobs(threads);
-    if (n <= 1 || plan.checkpoints.size() <= 1) {
-        for (std::size_t i = 0; i < plan.checkpoints.size(); ++i)
-            measure_one(i);
-    } else {
-        ThreadPool pool(n);
-        pool.parallelFor(plan.checkpoints.size(), measure_one);
-    }
-    return stitchSampled(kind, plan, measures);
 }
 
 } // namespace sim

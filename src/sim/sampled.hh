@@ -21,7 +21,7 @@
  *     access history (see cpu/warm_history.hh), run for warmupCycles
  *     of detailed warm-up to fill the pipeline, and then measured
  *     for detailCycles retired slots. Intervals are independent, so
- *     they fan out across the work-stealing thread pool.
+ *     sim::runBatch makes each replay its own unit on the thread pool.
  *  3. Stitching — the estimate is the exact prefix plus the mean
  *     per-window CPI times the remaining instructions, with
  *     standard-error and 95%-confidence fields; cycle-class
@@ -214,22 +214,6 @@ IntervalMeasure measureInterval(const isa::Program &prog, CpuKind kind,
  */
 SimOutcome stitchSampled(CpuKind kind, const SampledPlan &plan,
                          const std::vector<IntervalMeasure> &measures);
-
-/**
- * The three phases end to end, with phase 2 fanned out over
- * @p threads workers (0 = resolved default; 1 = inline). Determinism:
- * every interval is an independent single-model replay and stitching
- * folds them in checkpoint order, so the outcome is bit-identical at
- * any thread count. @p max_cycles is accepted for signature parity
- * with simulate() and joins the cache key, but sampled replay budgets
- * are per-interval (warmupCycles + detailCycles), not whole-run.
- */
-SimOutcome simulateSampled(const isa::Program &prog, CpuKind kind,
-                           const cpu::CoreConfig &cfg = table1Config(),
-                           const SampledOptions &sampled =
-                               SampledOptions(),
-                           std::uint64_t max_cycles = kDefaultMaxCycles,
-                           unsigned threads = 0);
 
 } // namespace sim
 } // namespace ff

@@ -8,9 +8,8 @@
  * the canonicalized configuration so a snapshot can never silently be
  * restored onto the wrong machine.
  *
- * The sweep engine uses runWarmup()/resumeSnapshot() to execute a
- * shared warm-up prefix once per (program, kind, config) group and
- * fork each sweep cell from the saved state; because restore is
+ * With SweepOptions::warmupCycles set, the batch executor runs each
+ * plain cell as runWarmup() then resumeSnapshot(); because restore is
  * bit-exact, forked runs are bit-identical to cold ones.
  */
 

@@ -1,11 +1,10 @@
-/** @file Unit tests for the work-stealing thread pool. */
+/** @file Unit tests for the thread pool. */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
-#include <future>
 #include <mutex>
 #include <set>
 #include <stdexcept>
@@ -24,28 +23,6 @@ TEST(ThreadPool, ReportsRequestedThreadCount)
 {
     ThreadPool pool(3);
     EXPECT_EQ(pool.threadCount(), 3u);
-}
-
-TEST(ThreadPool, RunsEverySubmittedTask)
-{
-    ThreadPool pool(4);
-    std::atomic<unsigned> ran{0};
-    std::vector<std::future<void>> done;
-    for (unsigned i = 0; i < 100; ++i) {
-        done.push_back(pool.submit(
-            [&] { ran.fetch_add(1, std::memory_order_relaxed); }));
-    }
-    for (auto &f : done)
-        f.get();
-    EXPECT_EQ(ran.load(), 100u);
-}
-
-TEST(ThreadPool, SubmitPropagatesExceptions)
-{
-    ThreadPool pool(2);
-    auto f = pool.submit(
-        [] { throw std::runtime_error("task failure"); });
-    EXPECT_THROW(f.get(), std::runtime_error);
 }
 
 TEST(ThreadPool, ParallelForCoversEveryIndexExactlyOnce)
@@ -103,8 +80,8 @@ TEST(ThreadPool, ParallelForPropagatesFirstException)
 
 TEST(ThreadPool, WorkIsActuallyDistributed)
 {
-    // With tasks that momentarily block, more than one worker must
-    // participate (steals or round-robin — either is fine).
+    // With indices that momentarily block, more than one thread must
+    // participate.
     ThreadPool pool(4);
     std::mutex mu;
     std::set<std::thread::id> seen;
@@ -119,18 +96,42 @@ TEST(ThreadPool, WorkIsActuallyDistributed)
     }
 }
 
-TEST(ThreadPool, DestructorCompletesPendingWork)
+TEST(ThreadPool, BackToBackLoopsRunEveryIndexOnce)
 {
-    std::atomic<unsigned> ran{0};
-    {
-        ThreadPool pool(2);
-        for (unsigned i = 0; i < 32; ++i) {
-            pool.submit(
-                [&] { ran.fetch_add(1, std::memory_order_relaxed); });
-        }
-        // No explicit wait: the destructor drains the queues.
+    // Many short loops on one pool. A worker that wakes late must not
+    // run an index of a loop that has returned, nor of the next one.
+    ThreadPool pool(4);
+    std::atomic<std::size_t> calls{0};
+    std::size_t expected = 0;
+    for (unsigned loop = 0; loop < 2000; ++loop) {
+        const std::size_t n = 1 + loop % 9;
+        std::vector<std::atomic<unsigned>> hits(n);
+        pool.parallelFor(n, [&](std::size_t i) {
+            hits[i].fetch_add(1, std::memory_order_relaxed);
+            calls.fetch_add(1, std::memory_order_relaxed);
+        });
+        expected += n;
+        ASSERT_EQ(calls.load(), expected) << "loop " << loop;
+        for (std::size_t i = 0; i < n; ++i)
+            ASSERT_EQ(hits[i].load(), 1u) << "loop " << loop << " index "
+                                          << i;
     }
-    EXPECT_EQ(ran.load(), 32u);
+}
+
+TEST(ThreadPool, LoopRunsOnTheCallerAndAtMostThreadCountWorkers)
+{
+    // simbench sizes its sampled sweep on this: N workers plus the
+    // calling thread.
+    ThreadPool pool(3);
+    std::mutex mu;
+    std::set<std::thread::id> seen;
+    pool.parallelFor(64, [&](std::size_t) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        std::lock_guard<std::mutex> lk(mu);
+        seen.insert(std::this_thread::get_id());
+    });
+    EXPECT_LE(seen.size(), pool.threadCount() + 1);
+    EXPECT_EQ(seen.count(std::this_thread::get_id()), 1u);
 }
 
 TEST(ThreadPool, DefaultJobCountIsPositive)

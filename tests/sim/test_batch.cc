@@ -8,8 +8,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdlib>
+#include <filesystem>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "sim/batch.hh"
@@ -106,6 +111,47 @@ TEST(Batch, ConcurrentFirstFingerprintsMatchSerial)
     const auto par = sim::runBatch(jobsFor(fresh.program), 4);
     const auto serial = sim::runBatch(jobsFor(ref.program), 1);
     expectIdentical(serial, par, "fresh image on 4 jobs vs serial");
+}
+
+/** Threads alive in this process. */
+std::size_t
+liveThreads()
+{
+    std::size_t n = 0;
+    for ([[maybe_unused]] const auto &task :
+         std::filesystem::directory_iterator("/proc/self/task"))
+        ++n;
+    return n;
+}
+
+TEST(Batch, NeverStartsMoreWorkersThanUnits)
+{
+    // Two jobs at 16 threads: no more workers than units may start
+    // (the caller runs units too). A watcher samples the process's
+    // threads while the batch runs.
+    if (!std::filesystem::exists("/proc/self/task"))
+        GTEST_SKIP() << "no /proc/self/task";
+    const workloads::Workload w = workloads::buildWorkload("181.mcf", 20);
+    std::vector<sim::SimJob> jobs(2);
+    for (sim::SimJob &j : jobs)
+        j.program = &w.program;
+    jobs[1].kind = sim::CpuKind::kTwoPass;
+
+    std::atomic<bool> done{false};
+    std::size_t peak = 0;
+    std::thread watcher([&] {
+        while (!done.load()) {
+            peak = std::max(peak, liveThreads());
+            std::this_thread::sleep_for(std::chrono::microseconds(200));
+        }
+    });
+    const std::size_t before = liveThreads(); // caller and watcher
+    const std::vector<sim::SimOutcome> out =
+        sim::runBatch(jobs, /*threads=*/16);
+    done = true;
+    watcher.join();
+    EXPECT_TRUE(out[0].run.halted && out[1].run.halted);
+    EXPECT_LE(peak, before + 2);
 }
 
 TEST(Batch, OutcomesArriveInSubmissionOrder)

@@ -11,13 +11,11 @@
 #include <atomic>
 #include <filesystem>
 #include <fstream>
-#include <future>
 #include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "common/thread_pool.hh"
 #include "sim/batch.hh"
 #include "sim/harness.hh"
 #include "sim/result_cache.hh"
@@ -348,21 +346,20 @@ TEST_F(ResultCacheTest, ConcurrentFirstKeysMatchTheSerialKey)
     const std::string serial = sim::resultCacheKey(
         copy, sim::CpuKind::kTwoPass, cfg, sim::kDefaultMaxCycles);
 
-    ThreadPool pool(4);
-    std::vector<std::string> keys(2 * pool.threadCount());
+    std::vector<std::string> keys(8);
     std::atomic<bool> go{false};
-    std::vector<std::future<void>> done;
+    std::vector<std::thread> racers;
     for (std::string &key : keys) {
-        done.push_back(pool.submit([&] {
+        racers.emplace_back([&] {
             while (!go.load())
                 std::this_thread::yield();
             key = sim::resultCacheKey(fresh, sim::CpuKind::kTwoPass,
                                       cfg, sim::kDefaultMaxCycles);
-        }));
+        });
     }
     go = true;
-    for (std::future<void> &f : done)
-        f.get();
+    for (std::thread &t : racers)
+        t.join();
     for (const std::string &key : keys)
         EXPECT_EQ(key, serial);
 }

@@ -13,6 +13,7 @@
 #include <cmath>
 #include <filesystem>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -47,6 +48,18 @@ testOptions()
     o.intervalCycles = 8000;
     o.detailCycles = 1000;
     return o;
+}
+
+/** A one-job batch sampling workload() under @p kind. */
+sim::SimJob
+sampledJob(sim::CpuKind kind)
+{
+    sim::SimJob job;
+    job.program = &workload().program;
+    job.kind = kind;
+    job.cfg = sim::table1Config();
+    job.sampled = testOptions();
+    return job;
 }
 
 TEST(Sampled, NormalizedDerivesDocumentedDefaults)
@@ -120,8 +133,8 @@ TEST(Sampled, EstimateTracksGroundTruth)
          {sim::CpuKind::kBaseline, sim::CpuKind::kTwoPass}) {
         SCOPED_TRACE(sim::cpuKindName(kind));
         const sim::SimOutcome full = sim::simulate(w.program, kind);
-        const sim::SimOutcome est = sim::simulateSampled(
-            w.program, kind, sim::table1Config(), testOptions());
+        const sim::SimJob job = sampledJob(kind);
+        const sim::SimOutcome est = sim::runBatch(std::span(&job, 1))[0];
 
         ASSERT_NE(est.sampled, nullptr);
         const sim::SampledEstimate &e = *est.sampled;
@@ -159,14 +172,11 @@ TEST(Sampled, EstimateTracksGroundTruth)
 
 TEST(Sampled, BitIdenticalAtAnyThreadCount)
 {
-    const workloads::Workload &w = workload();
-    const cpu::CoreConfig cfg = sim::table1Config();
-    const sim::SimOutcome serial = sim::simulateSampled(
-        w.program, sim::CpuKind::kTwoPass, cfg, testOptions(),
-        sim::kDefaultMaxCycles, /*threads=*/1);
-    const sim::SimOutcome pooled = sim::simulateSampled(
-        w.program, sim::CpuKind::kTwoPass, cfg, testOptions(),
-        sim::kDefaultMaxCycles, /*threads=*/4);
+    const sim::SimJob job = sampledJob(sim::CpuKind::kTwoPass);
+    const sim::SimOutcome serial =
+        sim::runBatch(std::span(&job, 1), /*threads=*/1)[0];
+    const sim::SimOutcome pooled =
+        sim::runBatch(std::span(&job, 1), /*threads=*/4)[0];
 
     ASSERT_NE(serial.sampled, nullptr);
     ASSERT_NE(pooled.sampled, nullptr);
@@ -188,25 +198,19 @@ TEST(Sampled, BatchSharesOnePlanAcrossKinds)
     // Three sampled jobs over one program: outcomes must equal the
     // standalone estimates (the shared checkpoint plan is a pure
     // function of program and sampling options, never of the kind).
-    const workloads::Workload &w = workload();
-    const cpu::CoreConfig cfg = sim::table1Config();
-    std::vector<sim::SimJob> jobs(3);
     const sim::CpuKind kinds[] = {sim::CpuKind::kBaseline,
                                   sim::CpuKind::kTwoPass,
                                   sim::CpuKind::kTwoPassRegroup};
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-        jobs[i].program = &w.program;
-        jobs[i].kind = kinds[i];
-        jobs[i].cfg = cfg;
-        jobs[i].sampled = testOptions();
-    }
+    std::vector<sim::SimJob> jobs;
+    for (const sim::CpuKind kind : kinds)
+        jobs.push_back(sampledJob(kind));
     const std::vector<sim::SimOutcome> batch =
         sim::runBatch(jobs, /*threads=*/2);
     ASSERT_EQ(batch.size(), jobs.size());
     for (std::size_t i = 0; i < jobs.size(); ++i) {
         SCOPED_TRACE(sim::cpuKindName(kinds[i]));
-        const sim::SimOutcome alone = sim::simulateSampled(
-            w.program, kinds[i], cfg, testOptions());
+        const sim::SimOutcome alone =
+            sim::runBatch(std::span(&jobs[i], 1))[0];
         ASSERT_NE(batch[i].sampled, nullptr);
         EXPECT_EQ(batch[i].run.cycles, alone.run.cycles);
         EXPECT_EQ(batch[i].sampled->ipcMean, alone.sampled->ipcMean);
@@ -249,15 +253,9 @@ TEST(Sampled, CacheRoundTripPreservesTheEstimate)
     sim::setResultCacheDir(dir.string());
     sim::resetResultCacheStats();
 
-    const workloads::Workload &w = workload();
-    sim::SimJob job;
-    job.program = &w.program;
-    job.kind = sim::CpuKind::kTwoPass;
-    job.cfg = sim::table1Config();
-    job.sampled = testOptions();
-
-    const sim::SimOutcome miss = sim::simulateCached(job);
-    const sim::SimOutcome hit = sim::simulateCached(job);
+    const sim::SimJob job = sampledJob(sim::CpuKind::kTwoPass);
+    const sim::SimOutcome miss = sim::runBatch(std::span(&job, 1))[0];
+    const sim::SimOutcome hit = sim::runBatch(std::span(&job, 1))[0];
     sim::setResultCacheDir("");
     fs::remove_all(dir);
 

@@ -5,8 +5,8 @@
  * model kind is saved at a mid-run cycle, restored into a fresh
  * instance, run to completion, and compared against an uninterrupted
  * run — full statsReport() text (every counter in the simulator) plus
- * architectural fingerprints. The container format and the
- * warm-up-sharing sweep engine are covered on top.
+ * architectural fingerprints. The container format and warm-up
+ * forking in sweeps are covered on top.
  */
 
 #include <gtest/gtest.h>
@@ -441,7 +441,7 @@ TEST(Snapshot, ForkedSweepBitIdenticalToColdAtAnyJobCount)
     const std::vector<sim::SweepVariant> variants = {
         {sim::CpuKind::kBaseline, {}},
         {sim::CpuKind::kTwoPass, {}},
-        {sim::CpuKind::kTwoPass, {}}, // duplicate cell: shared group
+        {sim::CpuKind::kTwoPass, {}}, // duplicate cell: its own warm-up
         {sim::CpuKind::kTwoPass, nofb},
         {sim::CpuKind::kTwoPassRegroup, {}},
         {sim::CpuKind::kRunahead, {}},

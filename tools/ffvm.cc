@@ -474,7 +474,7 @@ main(int argc, char **argv)
         job.cfg = cfg;
         job.maxCycles = max_cycles;
         job.sampled = sopt;
-        const sim::SimOutcome out = sim::simulateCached(job);
+        const sim::SimOutcome out = sim::runBatch(std::span(&job, 1))[0];
         ff_fatal_if(out.sampled == nullptr,
                     "sampled run returned no estimate");
         const sim::SampledEstimate &e = *out.sampled;
@@ -524,7 +524,7 @@ main(int argc, char **argv)
         job.kind = kind;
         job.cfg = cfg;
         job.maxCycles = max_cycles;
-        const sim::SimOutcome out = sim::simulateCached(job);
+        const sim::SimOutcome out = sim::runBatch(std::span(&job, 1))[0];
         std::printf("model=%s halted=%d cycles=%llu "
                     "instructions=%llu ipc=%.3f\n",
                     model.c_str(), out.run.halted ? 1 : 0,
