@@ -11,9 +11,9 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <vector>
 
+#include "common/cli_number.hh"
 #include "sim/batch.hh"
 #include "sim/harness.hh"
 #include "sim/report.hh"
@@ -25,7 +25,8 @@ int
 main(int argc, char **argv)
 {
     sim::parseJobsFlag(argc, argv);
-    const int scale = argc > 1 ? std::atoi(argv[1]) : 100;
+    const int scale =
+        argc > 1 ? cli::parseNumber<int>("scale", argv[1]) : 100;
 
     std::printf("=== Ablation A2: A-pipe stalls on anticipable "
                 "latencies (2P) ===\n\n");

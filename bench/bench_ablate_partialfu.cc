@@ -14,9 +14,9 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <vector>
 
+#include "common/cli_number.hh"
 #include "sim/batch.hh"
 #include "sim/harness.hh"
 #include "sim/report.hh"
@@ -28,7 +28,8 @@ int
 main(int argc, char **argv)
 {
     sim::parseJobsFlag(argc, argv);
-    const int scale = argc > 1 ? std::atoi(argv[1]) : 100;
+    const int scale =
+        argc > 1 ? cli::parseNumber<int>("scale", argv[1]) : 100;
 
     std::printf("=== Ablation: A-pipe without FP units (Sec. 3.7 "
                 "partial replication) ===\n\n");

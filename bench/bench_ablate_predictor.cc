@@ -10,9 +10,9 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <vector>
 
+#include "common/cli_number.hh"
 #include "sim/batch.hh"
 #include "sim/harness.hh"
 #include "sim/report.hh"
@@ -24,7 +24,8 @@ int
 main(int argc, char **argv)
 {
     sim::parseJobsFlag(argc, argv);
-    const int scale = argc > 1 ? std::atoi(argv[1]) : 100;
+    const int scale =
+        argc > 1 ? cli::parseNumber<int>("scale", argv[1]) : 100;
     const std::vector<branch::PredictorKind> kinds = {
         branch::PredictorKind::kBimodal,
         branch::PredictorKind::kGshare,

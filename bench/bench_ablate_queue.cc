@@ -10,10 +10,10 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <vector>
 
+#include "common/cli_number.hh"
 #include "sim/batch.hh"
 #include "sim/harness.hh"
 #include "sim/report.hh"
@@ -25,7 +25,8 @@ int
 main(int argc, char **argv)
 {
     sim::parseJobsFlag(argc, argv);
-    const int scale = argc > 1 ? std::atoi(argv[1]) : 100;
+    const int scale =
+        argc > 1 ? cli::parseNumber<int>("scale", argv[1]) : 100;
     const std::vector<unsigned> sizes = {16, 32, 48, 64, 96, 128, 256};
 
     std::printf("=== Ablation S5: coupling queue size (2P cycles, "

@@ -13,9 +13,9 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <vector>
 
+#include "common/cli_number.hh"
 #include "sim/batch.hh"
 #include "sim/harness.hh"
 #include "sim/report.hh"
@@ -27,7 +27,8 @@ int
 main(int argc, char **argv)
 {
     sim::parseJobsFlag(argc, argv);
-    const int scale = argc > 1 ? std::atoi(argv[1]) : 100;
+    const int scale =
+        argc > 1 ? cli::parseNumber<int>("scale", argv[1]) : 100;
     const std::vector<unsigned> thresholds = {0, 90, 75, 50};
 
     std::printf("=== Ablation: A-pipe issue moderation (deferral-rate "

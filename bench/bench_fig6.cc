@@ -21,11 +21,11 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
 
+#include "common/cli_number.hh"
 #include "compiler/scheduler.hh"
 
 #include "sim/batch.hh"
@@ -49,13 +49,15 @@ main(int argc, char **argv)
                 json_path = argv[++i];
             else if (std::strcmp(argv[i], "--warmup") == 0 &&
                      i + 1 < argc)
-                warmup_cycles = std::strtoull(argv[++i], nullptr, 0);
+                warmup_cycles = cli::parseNumber<std::uint64_t>(
+                    "--warmup", argv[++i]);
             else
                 argv[out++] = argv[i];
         }
         argc = out;
     }
-    const int scale = argc > 1 ? std::atoi(argv[1]) : 100;
+    const int scale =
+        argc > 1 ? cli::parseNumber<int>("scale", argv[1]) : 100;
     const workloads::InputSet input =
         (argc > 2 && std::string(argv[2]) == "alt")
             ? workloads::InputSet::kAlternate

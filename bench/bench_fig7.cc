@@ -12,10 +12,10 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
+#include "common/cli_number.hh"
 #include "sim/batch.hh"
 #include "sim/harness.hh"
 #include "sim/report.hh"
@@ -57,7 +57,8 @@ int
 main(int argc, char **argv)
 {
     sim::parseJobsFlag(argc, argv);
-    const int scale = argc > 1 ? std::atoi(argv[1]) : 100;
+    const int scale =
+        argc > 1 ? cli::parseNumber<int>("scale", argv[1]) : 100;
 
     std::printf("=== Figure 7: distribution of initiated access "
                 "cycles (latency-weighted, normalized to base) "

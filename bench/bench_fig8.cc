@@ -13,10 +13,10 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
+#include "common/cli_number.hh"
 #include "sim/batch.hh"
 #include "sim/harness.hh"
 #include "sim/report.hh"
@@ -28,7 +28,8 @@ int
 main(int argc, char **argv)
 {
     sim::parseJobsFlag(argc, argv);
-    const int scale = argc > 1 ? std::atoi(argv[1]) : 100;
+    const int scale =
+        argc > 1 ? cli::parseNumber<int>("scale", argv[1]) : 100;
     // The three benchmarks whose A-pipe deferral is most sensitive
     // to the feedback path (the paper likewise showed three).
     const std::vector<std::string> benches = {"181.mcf", "099.go",

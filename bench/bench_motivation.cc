@@ -17,9 +17,9 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <vector>
 
+#include "common/cli_number.hh"
 #include "sim/batch.hh"
 #include "sim/harness.hh"
 #include "sim/report.hh"
@@ -31,7 +31,8 @@ int
 main(int argc, char **argv)
 {
     sim::parseJobsFlag(argc, argv);
-    const int scale = argc > 1 ? std::atoi(argv[1]) : 100;
+    const int scale =
+        argc > 1 ? cli::parseNumber<int>("scale", argv[1]) : 100;
 
     std::printf("=== Motivation (Secs. 1-2): what unanticipated "
                 "latency costs an in-order EPIC core ===\n\n");

@@ -17,11 +17,11 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
 
+#include "common/cli_number.hh"
 #include "sim/batch.hh"
 #include "sim/harness.hh"
 #include "sim/report.hh"
@@ -74,8 +74,7 @@ main(int argc, char **argv)
                 workload = argv[++i];
             } else if (std::strcmp(argv[i], "--top") == 0 &&
                        i + 1 < argc) {
-                top_k = static_cast<unsigned>(
-                    std::strtoul(argv[++i], nullptr, 0));
+                top_k = cli::parseNumber<unsigned>("--top", argv[++i]);
             } else if (std::strcmp(argv[i], "--json") == 0 &&
                        i + 1 < argc) {
                 json_path = argv[++i];
@@ -85,7 +84,8 @@ main(int argc, char **argv)
         }
         argc = out;
     }
-    const int scale = argc > 1 ? std::atoi(argv[1]) : 25;
+    const int scale =
+        argc > 1 ? cli::parseNumber<int>("scale", argv[1]) : 25;
 
     std::printf("=== Per-instruction stall attribution: %s "
                 "(scale %d%%) ===\n\n",

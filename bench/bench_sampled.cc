@@ -32,6 +32,7 @@
 #include <string>
 #include <vector>
 
+#include "common/cli_number.hh"
 #include "sim/batch.hh"
 #include "sim/report.hh"
 #include "sim/result_cache.hh"
@@ -44,22 +45,35 @@ namespace
 {
 
 sim::SampledOptions
-parseSampleSpec(const char *spec)
+parseSampleSpec(const std::string &spec)
 {
-    sim::SampledOptions o;
-    char *end = nullptr;
-    o.intervalCycles = std::strtoull(spec, &end, 0);
-    if (*end == ':')
-        o.detailCycles = std::strtoull(end + 1, &end, 0);
-    if (*end == ':')
-        o.warmupCycles = std::strtoull(end + 1, &end, 0);
-    if (o.intervalCycles == 0 || *end != '\0') {
+    // INTERVAL[:DETAIL[:WARMUP]], each field one unsigned integer.
+    std::vector<std::uint64_t> fields;
+    bool ok = true;
+    for (std::size_t start = 0;;) {
+        const std::size_t colon = spec.find(':', start);
+        std::uint64_t v = 0;
+        ok = cli::tryParseNumber(spec.substr(start, colon - start), v) &&
+             ok;
+        fields.push_back(v);
+        if (colon == std::string::npos)
+            break;
+        start = colon + 1;
+    }
+    ok = ok && fields.size() <= 3 && fields[0] != 0;
+    if (!ok) {
         std::fprintf(stderr,
                      "bad --sample value '%s' (expected "
                      "INTERVAL[:DETAIL[:WARMUP]])\n",
-                     spec);
+                     spec.c_str());
         std::exit(1);
     }
+    sim::SampledOptions o;
+    o.intervalCycles = fields[0];
+    if (fields.size() > 1)
+        o.detailCycles = fields[1];
+    if (fields.size() > 2)
+        o.warmupCycles = fields[2];
     return o;
 }
 
@@ -94,7 +108,8 @@ main(int argc, char **argv)
         }
         argc = out;
     }
-    const int scale = argc > 1 ? std::atoi(argv[1]) : 100;
+    const int scale =
+        argc > 1 ? cli::parseNumber<int>("scale", argv[1]) : 100;
     const sim::SampledOptions norm = sopt.normalized();
 
     std::printf("=== Sampled simulation vs ground truth "

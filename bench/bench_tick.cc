@@ -20,10 +20,10 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
+#include "common/cli_number.hh"
 #include "compiler/scheduler.hh"
 #include "isa/builder.hh"
 #include "sim/batch.hh"
@@ -98,7 +98,8 @@ main(int argc, char **argv)
         }
         argc = out;
     }
-    const int scale = argc > 1 ? std::atoi(argv[1]) : 100;
+    const int scale =
+        argc > 1 ? cli::parseNumber<int>("scale", argv[1]) : 100;
 
     std::printf("=== bench_tick: hot-path throughput on an "
                 "L1-resident kernel (scale %d%%) ===\n\n", scale);

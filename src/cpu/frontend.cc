@@ -10,7 +10,8 @@ namespace cpu
 FrontEnd::FrontEnd(const isa::Program &prog, const CoreConfig &cfg,
                    branch::DirectionPredictor &pred,
                    memory::Hierarchy &mem, memory::Initiator who)
-    : _prog(prog), _cfg(cfg), _pred(pred), _mem(mem), _who(who)
+    : _prog(prog), _cfg(cfg), _pred(pred), _mem(mem), _who(who),
+      _queue(cfg.fetchQueueGroups)
 {
     reset(0);
 }
@@ -89,7 +90,8 @@ void
 FrontEnd::save(serial::Writer &w) const
 {
     w.u64(_queue.size());
-    for (const FetchedGroup &g : _queue) {
+    for (std::size_t i = 0; i < _queue.size(); ++i) {
+        const FetchedGroup &g = _queue[i];
         w.u32(g.leader);
         w.u32(g.end);
         w.u64(g.readyAt);

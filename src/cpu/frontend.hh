@@ -11,9 +11,8 @@
 #ifndef FF_CPU_FRONTEND_HH
 #define FF_CPU_FRONTEND_HH
 
-#include <deque>
-
 #include "branch/predictor.hh"
+#include "common/ring.hh"
 #include "common/serialize.hh"
 #include "cpu/config.hh"
 #include "isa/program.hh"
@@ -102,7 +101,7 @@ class FrontEnd
     memory::Hierarchy &_mem;
     memory::Initiator _who;
 
-    std::deque<FetchedGroup> _queue;
+    Ring<FetchedGroup> _queue; ///< at most cfg.fetchQueueGroups
     InstIdx _pc = 0;
     bool _pcValid = true;
     Cycle _resumeAt = 0;

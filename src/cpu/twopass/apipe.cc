@@ -76,20 +76,6 @@ APipe::dispatchGroup(const FetchedGroup &g, Cycle now)
         if (_ctx.ms.observer != nullptr)
             _ctx.ms.observer->onDispatch(now, i, id);
 
-        CqEntry e;
-        e.idx = i;
-        e.id = id;
-        e.enqueuedAt = now;
-        e.groupEnd = (i + 1 == g.end);
-        e.isLoad = in.isLoad();
-        e.isStore = in.isStore();
-        e.isBranch = in.isBranch();
-        if (e.isBranch) {
-            e.predictedTaken = g.predictedTaken;
-            e.prediction = g.prediction;
-            e.fallthrough = g.end;
-        }
-
         // ---- operand availability in the A-file ---------------------
         DeferReason reason = DeferReason::kNone;
         auto check = [&](isa::RegId r) {
@@ -139,10 +125,19 @@ APipe::dispatchGroup(const FetchedGroup &g, Cycle now)
         _deferHistoryCount -= (_deferHistory >> 63) & 1;
         _deferHistory = (_deferHistory << 1) | (is_deferred ? 1 : 0);
 
-        if (reason != DeferReason::kNone) {
+        // The slot's CRS payload, gathered in locals and pushed below
+        // with every CqEntry field named: a default-constructed entry
+        // would cost a block zero-fill per slot.
+        Cycle ready_at = 0;
+        bool writes_dst = false;
+        bool writes_dst2 = false;
+        RegVal dst_val = 0;
+        RegVal dst2_val = 0;
+        Addr addr = 0;
+        unsigned size = 0;
+
+        if (is_deferred) {
             // ---- defer to the B-pipe --------------------------------
-            e.status = CqStatus::kDeferred;
-            e.reason = reason;
             ++_ctx.stats.deferred;
             ++_ctx.stats
                   .deferredByReason[static_cast<unsigned>(reason)];
@@ -152,98 +147,107 @@ APipe::dispatchGroup(const FetchedGroup &g, Cycle now)
                 _ctx.ms.afile.markDeferred(dsts[d], id);
             if (_ctx.ms.observer != nullptr)
                 _ctx.ms.observer->onDefer(now, i, id, reason);
-            _ctx.ms.cq.push(e);
-            continue;
-        }
-
-        // ---- pre-execute in the A-pipe ------------------------------
-        e.status = CqStatus::kPreExecuted;
-        e.predTrue = qp;
-        e.readyAt = now;
-        ++_ctx.stats.preExecuted;
-
-        if (in.isBranch()) {
-            // The direction is known: resolve the prediction at A-DET.
-            e.branchResolvedInA = true;
-            e.actualTaken = qp;
-            ++_ctx.stats.branchesResolvedInA;
-            _ctx.pred.update(e.prediction, qp);
-            if (qp != g.predictedTaken) {
-                ++_ctx.stats.aDetMispredicts;
-                const InstIdx target =
-                    qp ? static_cast<InstIdx>(in.imm) : g.end;
-                _ctx.fe.redirect(target,
-                                 now + 1 + _ctx.cfg.branchResolveDelay);
-            }
-            _ctx.ms.cq.push(e);
-            continue;
-        }
-
-        if (in.isHalt()) {
-            _ctx.ms.aHalted = true;
-            _ctx.ms.cq.push(e);
-            continue;
-        }
-
-        if (!qp) {
-            // Nullified: completes with no effects.
-            _ctx.ms.cq.push(e);
-            continue;
-        }
-
-        const RegVal s1 =
-            in.src1.valid() ? _ctx.ms.afile.read(in.src1) : 0;
-        const RegVal s2 = operandSrc2(
-            in, in.src2.valid() ? _ctx.ms.afile.read(in.src2) : 0);
-        EvalResult ev = evaluate(in, qp, s1, s2);
-
-        if (in.isLoad()) {
-            ++_ctx.stats.loadsInA;
-            if (_ctx.ms.cq.deferredStores() > 0)
-                ++_ctx.stats.loadsPastDeferredStore;
-            bool forwarded = false;
-            const std::uint64_t raw = _ctx.sbuf.read(
-                id, ev.addr, ev.size, _ctx.mem, &forwarded);
-            if (forwarded)
-                ++_ctx.stats.storeForwardings;
-            _ctx.alat.allocate(id, ev.addr, ev.size);
-            const memory::AccessResult ar =
-                _ctx.hier.access(memory::AccessKind::kLoad,
-                                 memory::Initiator::kApipe, ev.addr,
-                                 now);
-            e.writesDst = true;
-            e.dstVal = loadExtend(in.op, raw);
-            e.readyAt = now + ar.latency;
-            e.addr = ev.addr;
-            e.size = ev.size;
-            _ctx.ms.afile.writeExecuted(in.dst, e.dstVal, id, e.readyAt,
-                                     PendingKind::kLoad);
-        } else if (in.isStore()) {
-            ++_ctx.stats.storesInA;
-            _ctx.sbuf.insert(id, ev.addr, ev.size, ev.storeVal);
-            _ctx.hier.access(memory::AccessKind::kStore,
-                             memory::Initiator::kApipe, ev.addr, now);
-            e.addr = ev.addr;
-            e.size = ev.size;
         } else {
-            const unsigned lat = in.execLatency();
-            e.readyAt = now + lat;
-            e.writesDst = ev.writesDst;
-            e.writesDst2 = ev.writesDst2;
-            e.dstVal = ev.dstVal;
-            e.dst2Val = ev.dst2Val;
-            if (ev.writesDst) {
-                _ctx.ms.afile.writeExecuted(in.dst, ev.dstVal, id,
-                                         e.readyAt,
-                                         PendingKind::kNonLoad);
-            }
-            if (ev.writesDst2) {
-                _ctx.ms.afile.writeExecuted(in.dst2, ev.dst2Val, id,
-                                         e.readyAt,
-                                         PendingKind::kNonLoad);
+            // ---- pre-execute in the A-pipe --------------------------
+            ready_at = now;
+            ++_ctx.stats.preExecuted;
+            if (in.isBranch()) {
+                // The direction is known: resolve the prediction at
+                // A-DET.
+                ++_ctx.stats.branchesResolvedInA;
+                _ctx.pred.update(g.prediction, qp);
+                if (qp != g.predictedTaken) {
+                    ++_ctx.stats.aDetMispredicts;
+                    const InstIdx target =
+                        qp ? static_cast<InstIdx>(in.imm) : g.end;
+                    _ctx.fe.redirect(
+                        target, now + 1 + _ctx.cfg.branchResolveDelay);
+                }
+            } else if (in.isHalt()) {
+                _ctx.ms.aHalted = true;
+            } else if (qp) { // a nullified slot completes with no effects
+                const RegVal s1 =
+                    in.src1.valid() ? _ctx.ms.afile.read(in.src1) : 0;
+                const RegVal s2 = operandSrc2(
+                    in,
+                    in.src2.valid() ? _ctx.ms.afile.read(in.src2) : 0);
+                const EvalResult ev = evaluate(in, qp, s1, s2);
+
+                if (in.isLoad()) {
+                    ++_ctx.stats.loadsInA;
+                    if (_ctx.ms.cq.deferredStores() > 0)
+                        ++_ctx.stats.loadsPastDeferredStore;
+                    bool forwarded = false;
+                    const std::uint64_t raw = _ctx.sbuf.read(
+                        id, ev.addr, ev.size, _ctx.mem, &forwarded);
+                    if (forwarded)
+                        ++_ctx.stats.storeForwardings;
+                    _ctx.alat.allocate(id, ev.addr, ev.size);
+                    const memory::AccessResult ar = _ctx.hier.access(
+                        memory::AccessKind::kLoad,
+                        memory::Initiator::kApipe, ev.addr, now);
+                    writes_dst = true;
+                    dst_val = loadExtend(in.op, raw);
+                    ready_at = now + ar.latency;
+                    addr = ev.addr;
+                    size = ev.size;
+                    _ctx.ms.afile.writeExecuted(in.dst, dst_val, id,
+                                                ready_at,
+                                                PendingKind::kLoad);
+                } else if (in.isStore()) {
+                    ++_ctx.stats.storesInA;
+                    _ctx.sbuf.insert(id, ev.addr, ev.size, ev.storeVal);
+                    _ctx.hier.access(memory::AccessKind::kStore,
+                                     memory::Initiator::kApipe, ev.addr,
+                                     now);
+                    addr = ev.addr;
+                    size = ev.size;
+                } else {
+                    ready_at = now + in.execLatency();
+                    writes_dst = ev.writesDst;
+                    writes_dst2 = ev.writesDst2;
+                    dst_val = ev.dstVal;
+                    dst2_val = ev.dst2Val;
+                    if (ev.writesDst) {
+                        _ctx.ms.afile.writeExecuted(
+                            in.dst, ev.dstVal, id, ready_at,
+                            PendingKind::kNonLoad);
+                    }
+                    if (ev.writesDst2) {
+                        _ctx.ms.afile.writeExecuted(
+                            in.dst2, ev.dst2Val, id, ready_at,
+                            PendingKind::kNonLoad);
+                    }
+                }
             }
         }
-        _ctx.ms.cq.push(e);
+
+        const bool is_branch = in.isBranch();
+        _ctx.ms.cq.push({
+            .idx = i,
+            .id = id,
+            .enqueuedAt = now,
+            .status = is_deferred ? CqStatus::kDeferred
+                                  : CqStatus::kPreExecuted,
+            .reason = reason,
+            .groupEnd = i + 1 == g.end,
+            .predTrue = !is_deferred && qp,
+            .writesDst = writes_dst,
+            .writesDst2 = writes_dst2,
+            .dstVal = dst_val,
+            .dst2Val = dst2_val,
+            .readyAt = ready_at,
+            .isLoad = in.isLoad(),
+            .isStore = in.isStore(),
+            .addr = addr,
+            .size = size,
+            .isBranch = is_branch,
+            .branchResolvedInA = is_branch && !is_deferred,
+            .actualTaken = is_branch && !is_deferred && qp,
+            .predictedTaken = is_branch && g.predictedTaken,
+            .fallthrough = is_branch ? g.end : 0,
+            .prediction = is_branch ? g.prediction : branch::Prediction{},
+        });
     }
 }
 

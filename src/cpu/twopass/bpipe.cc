@@ -11,17 +11,24 @@ namespace cpu
 using isa::Instruction;
 
 CycleClass
-BPipe::prescanWindow(const RetireWindow &w, Cycle now) const
+BPipe::prescanWindow(const RetireWindow &w, Cycle now, Cycle *until) const
 {
     const CouplingQueue &cq = _ctx.ms.cq;
+    const Scoreboard &sb = _ctx.ms.sb;
+    auto verdict = [until](CycleClass cls, Cycle holds_until) {
+        if (until != nullptr)
+            *until = holds_until;
+        return cls;
+    };
     unsigned deferred_loads = 0;
     for (std::size_t k = 0; k < w.entries; ++k) {
         if (cq.preExecuted(k)) {
             if (cq.readyAt(k) > now) {
                 // A "dangling dependence": the result was started in
                 // the A-pipe but has not arrived (Sec. 3.1).
-                return cq.isLoad(k) ? CycleClass::kLoadStall
-                                    : CycleClass::kNonLoadDepStall;
+                return verdict(cq.isLoad(k) ? CycleClass::kLoadStall
+                                            : CycleClass::kNonLoadDepStall,
+                               cq.readyAt(k));
             }
             continue;
         }
@@ -30,15 +37,17 @@ BPipe::prescanWindow(const RetireWindow &w, Cycle now) const
         // in-window pre-executed producers may still flip it at apply
         // time, a deliberate (conservatively safe) simplification.
         const Instruction &in = _ctx.prog.inst(cq.idx(k));
-        if (!_ctx.ms.sb.ready(in.qpred, now))
-            return stallClassFor(_ctx.ms.sb, in.qpred);
+        if (!sb.ready(in.qpred, now))
+            return verdict(stallClassFor(sb, in.qpred), sb.readyAt(in.qpred));
         const bool qp = _ctx.ms.regs.readPred(in.qpred);
         if (qp || in.isBranch()) {
-            if (in.src1.valid() && !_ctx.ms.sb.ready(in.src1, now))
-                return stallClassFor(_ctx.ms.sb, in.src1);
+            if (in.src1.valid() && !sb.ready(in.src1, now))
+                return verdict(stallClassFor(sb, in.src1),
+                               sb.readyAt(in.src1));
             if (in.src2.valid() && !in.src2IsImm &&
-                !_ctx.ms.sb.ready(in.src2, now)) {
-                return stallClassFor(_ctx.ms.sb, in.src2);
+                !sb.ready(in.src2, now)) {
+                return verdict(stallClassFor(sb, in.src2),
+                               sb.readyAt(in.src2));
             }
         }
         if (cq.isLoad(k) && qp)
@@ -49,10 +58,11 @@ BPipe::prescanWindow(const RetireWindow &w, Cycle now) const
             _ctx.cfg.mem.maxOutstandingLoads) {
         // Stalling only helps while an outstanding load could retire
         // and free an MSHR; a group carrying more loads than the
-        // machine has MSHRs must still issue eventually.
-        return CycleClass::kResourceStall;
+        // machine has MSHRs must still issue eventually. A-pipe loads
+        // change the count, so this verdict is never held.
+        return verdict(CycleClass::kResourceStall, now);
     }
-    return CycleClass::kUnstalled;
+    return verdict(CycleClass::kUnstalled, now);
 }
 
 CycleClass
@@ -69,11 +79,15 @@ BPipe::step(Cycle now, RunResult &res)
     }
     ff_panic_if(cq.enqueuedAt(0) >= now,
                 "B-pipe observed a same-cycle A-pipe dispatch");
+    if (now < _stallUntil)
+        return _stallClass;
 
     RetireWindow w = headGroupWindow(cq);
-    const CycleClass cls = prescanWindow(w, now);
-    if (cls != CycleClass::kUnstalled)
+    const CycleClass cls = prescanWindow(w, now, &_stallUntil);
+    if (cls != CycleClass::kUnstalled) {
+        _stallClass = cls;
         return cls;
+    }
 
     if (_ctx.cfg.regroup) {
         // Fuse follow-on groups whose every entry could retire right

@@ -42,9 +42,23 @@ class BPipe
 
     /**
      * Scans the retire window for the first blocker.
+     * @param w the window at the coupling-queue head
+     * @param now the current cycle
+     * @param until if not null, receives the cycle before which the
+     *        verdict cannot change while the B-pipe does nothing: the
+     *        blocker's ready cycle when the window waits on a dangling
+     *        pre-executed result or on a scoreboard-pending operand of
+     *        a deferred entry, otherwise @p now
      * @return kUnstalled when the whole window may retire
      */
-    CycleClass prescanWindow(const RetireWindow &w, Cycle now) const;
+    CycleClass prescanWindow(const RetireWindow &w, Cycle now,
+                             Cycle *until = nullptr) const;
+
+    /**
+     * Drops the stall memo, so the next step() rescans the window.
+     * The memo is derived state: a restored model starts without one.
+     */
+    void clearStallMemo() { _stallUntil = 0; }
 
     // Exposed for direct unit testing against hand-built fixtures.
 
@@ -58,6 +72,16 @@ class BPipe
 
     PipeContext _ctx;
     FeedbackPath &_feedback;
+
+    /**
+     * Stall memo (DESIGN.md §9): until cycle _stallUntil, step()
+     * returns _stallClass without rescanning the head window. Set only
+     * for a blocker with a known ready cycle; nothing the prescan reads
+     * can change before then, because only this pipe pops the queue,
+     * writes the B-file and its scoreboard, or flushes.
+     */
+    Cycle _stallUntil = 0;
+    CycleClass _stallClass = CycleClass::kUnstalled;
 };
 
 } // namespace cpu

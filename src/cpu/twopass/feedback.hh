@@ -11,8 +11,7 @@
 #ifndef FF_CPU_TWOPASS_FEEDBACK_HH
 #define FF_CPU_TWOPASS_FEEDBACK_HH
 
-#include <deque>
-
+#include "common/ring.hh"
 #include "cpu/config.hh"
 #include "cpu/model_stats.hh"
 #include "cpu/state/machine_state.hh"
@@ -66,7 +65,8 @@ class FeedbackPath
     save(serial::Writer &w) const
     {
         w.u64(_q.size());
-        for (const Pending &p : _q) {
+        for (std::size_t i = 0; i < _q.size(); ++i) {
+            const Pending &p = _q[i];
             w.u8(static_cast<std::uint8_t>(p.reg.cls));
             w.u8(p.reg.idx);
             w.u64(p.value);
@@ -104,7 +104,8 @@ class FeedbackPath
     const CoreConfig &_cfg;
     MachineState &_ms;
     TwoPassStats &_stats;
-    std::deque<Pending> _q;
+    /** Oldest first; grows to the most updates ever in flight. */
+    Ring<Pending> _q;
 };
 
 } // namespace cpu

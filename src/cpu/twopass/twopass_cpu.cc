@@ -164,6 +164,7 @@ TwoPassCpu::restoreModelState(serial::Reader &r)
     restoreStats(r, _stats);
     _feedback.restore(r);
     _apipe.restore(r);
+    _bpipe.clearStallMemo();
     _cqDepthSum = r.u64();
     _cqDepthSamples = r.u64();
 }

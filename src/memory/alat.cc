@@ -1,52 +1,60 @@
 #include "memory/alat.hh"
 
 #include <algorithm>
-#include <vector>
+
+#include "common/logging.hh"
+#include "memory/sparse_memory.hh"
 
 namespace ff
 {
 namespace memory
 {
 
+Alat::Slot *
+Alat::find(DynId id)
+{
+    const auto it = std::lower_bound(
+        _slots.begin() + static_cast<std::ptrdiff_t>(_head), _slots.end(),
+        id, [](const Slot &s, DynId v) { return s.id < v; });
+    return it != _slots.end() && it->id == id ? &*it : nullptr;
+}
+
 void
 Alat::allocate(DynId id, Addr addr, unsigned size)
 {
     ++_stats.allocations;
-    // Reclaim fifo slots whose entries were already released (merged
-    // loads or squashes) before deciding whether a real eviction is
-    // needed.
-    while (!_fifo.empty() &&
-           _entries.find(_fifo.front()) == _entries.end()) {
-        _fifo.pop_front();
+    // Reclaim slots whose entries were already released (merged loads,
+    // invalidations) before deciding whether a real eviction is needed.
+    while (_head < _slots.size() && !_slots[_head].live)
+        ++_head;
+    if (_capacity != 0 && _live >= _capacity) {
+        // FIFO-evict the oldest live entry: the front slot, after the
+        // reclaim above.
+        release(_slots[_head++]);
+        ++_stats.capacityEvictions;
     }
-    if (_capacity != 0 && _entries.size() >= _capacity) {
-        // FIFO-evict the oldest still-live entry.
-        while (!_fifo.empty()) {
-            DynId victim = _fifo.front();
-            _fifo.pop_front();
-            auto it = _entries.find(victim);
-            if (it != _entries.end()) {
-                _entries.erase(it);
-                ++_stats.capacityEvictions;
-                break;
-            }
-        }
+    // Drop reclaimed slots once they fill half the vector, so each
+    // survivor moved is paid for by a reclaimed slot.
+    if (_head * 2 >= _slots.size()) {
+        _slots.erase(_slots.begin(),
+                     _slots.begin() + static_cast<std::ptrdiff_t>(_head));
+        _head = 0;
     }
-    _entries[id] = {addr, size};
-    _fifo.push_back(id);
+    ff_panic_if(!_slots.empty() && _slots.back().id >= id,
+                "ALAT allocations out of order: ", id, " after ",
+                _slots.back().id);
+    _slots.push_back({id, addr, size, true});
+    ++_live;
 }
 
 void
 Alat::invalidateOverlap(Addr addr, unsigned size)
 {
-    for (auto it = _entries.begin(); it != _entries.end();) {
-        const bool overlap = addr < it->second.addr + it->second.size &&
-                             it->second.addr < addr + size;
-        if (overlap) {
-            it = _entries.erase(it);
+    for (std::size_t i = _head; i < _slots.size(); ++i) {
+        Slot &s = _slots[i];
+        if (s.live && rangesOverlap(s.addr, s.size, addr, size)) {
+            release(s);
             ++_stats.storeInvalidations;
-        } else {
-            ++it;
         }
     }
 }
@@ -54,7 +62,8 @@ Alat::invalidateOverlap(Addr addr, unsigned size)
 bool
 Alat::check(DynId id)
 {
-    const bool present = _entries.count(id) != 0;
+    const Slot *s = find(id);
+    const bool present = s != nullptr && s->live;
     if (present)
         ++_stats.checksPassed;
     else
@@ -65,27 +74,26 @@ Alat::check(DynId id)
 void
 Alat::remove(DynId id)
 {
-    _entries.erase(id);
+    if (Slot *s = find(id); s != nullptr && s->live)
+        release(*s);
 }
 
 void
 Alat::squashYoungerThan(DynId boundary)
 {
-    for (auto it = _entries.begin(); it != _entries.end();) {
-        if (it->first > boundary)
-            it = _entries.erase(it);
-        else
-            ++it;
+    while (_slots.size() > _head && _slots.back().id > boundary) {
+        if (_slots.back().live)
+            --_live;
+        _slots.pop_back();
     }
-    while (!_fifo.empty() && _fifo.back() > boundary)
-        _fifo.pop_back();
 }
 
 void
 Alat::clear()
 {
-    _entries.clear();
-    _fifo.clear();
+    _slots.clear();
+    _head = 0;
+    _live = 0;
 }
 
 void
@@ -113,26 +121,22 @@ Alat::save(serial::Writer &w) const
 {
     w.u32(_capacity);
 
-    // Entries sorted by id: lookup is by key, so order is semantics-
-    // free, but sorting makes the encoded bytes deterministic.
-    std::vector<DynId> ids;
-    ids.reserve(_entries.size());
-    for (const auto &[id, e] : _entries)
-        ids.push_back(id);
-    std::sort(ids.begin(), ids.end());
-    w.u64(ids.size());
-    for (const DynId id : ids) {
-        const Entry &e = _entries.at(id);
-        w.u64(id);
-        w.u64(e.addr);
-        w.u32(e.size);
+    // Live entries by id (allocation order is id order).
+    w.u64(_live);
+    for (std::size_t i = _head; i < _slots.size(); ++i) {
+        const Slot &s = _slots[i];
+        if (s.live) {
+            w.u64(s.id);
+            w.u64(s.addr);
+            w.u32(s.size);
+        }
     }
 
-    // The fifo keeps allocation order (including slots whose entries
-    // were already released) — eviction order depends on it.
-    w.u64(_fifo.size());
-    for (const DynId id : _fifo)
-        w.u64(id);
+    // Every unreclaimed slot in allocation order, released ones
+    // included: eviction order depends on them.
+    w.u64(_slots.size() - _head);
+    for (std::size_t i = _head; i < _slots.size(); ++i)
+        w.u64(_slots[i].id);
 
     saveStats(w, _stats);
 }
@@ -144,19 +148,33 @@ Alat::restore(serial::Reader &r)
         r.fail();
         return;
     }
-    _entries.clear();
-    _fifo.clear();
-    const std::size_t entries = r.seq(20);
-    for (std::size_t i = 0; i < entries; ++i) {
-        const DynId id = r.u64();
-        Entry e;
-        e.addr = r.u64();
-        e.size = r.u32();
-        _entries[id] = e;
+    clear();
+    std::vector<Slot> live(r.seq(20));
+    for (Slot &s : live) {
+        s.id = r.u64();
+        s.addr = r.u64();
+        s.size = r.u32();
+        s.live = true;
     }
-    const std::size_t fifo = r.seq(8);
-    for (std::size_t i = 0; i < fifo; ++i)
-        _fifo.push_back(r.u64());
+    // Interleave the live entries into the slot list in id order.
+    std::size_t next = 0;
+    const std::size_t slots = r.seq(8);
+    for (std::size_t i = 0; i < slots; ++i) {
+        const DynId id = r.u64();
+        if (!_slots.empty() && _slots.back().id >= id) {
+            r.fail();
+            return;
+        }
+        if (next < live.size() && live[next].id == id)
+            _slots.push_back(live[next++]);
+        else
+            _slots.push_back({id, 0, 0, false});
+    }
+    if (next != live.size()) {
+        r.fail();
+        return;
+    }
+    _live = live.size();
     restoreStats(r, _stats);
 }
 

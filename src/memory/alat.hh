@@ -11,14 +11,19 @@
  * Table 1 models a perfect ALAT (no capacity conflicts); a finite
  * FIFO-evicting mode is provided for the capacity ablation, in which
  * evictions manifest as false-positive conflicts (safe, slower).
+ *
+ * DynIDs are allocated in increasing order and leave by merge, by a
+ * squash of the youngest, or by a flush, so the table is one vector of
+ * slots in allocation order, found by binary search on id. A released
+ * slot stays in place (it still holds its eviction-order position)
+ * until allocation reclaims it from the front.
  */
 
 #ifndef FF_MEMORY_ALAT_HH
 #define FF_MEMORY_ALAT_HH
 
 #include <cstdint>
-#include <deque>
-#include <unordered_map>
+#include <vector>
 
 #include "common/serialize.hh"
 #include "common/types.hh"
@@ -56,10 +61,18 @@ class Alat
     /** @param capacity maximum live entries; 0 means perfect. */
     explicit Alat(unsigned capacity = 0) : _capacity(capacity) {}
 
-    /** Tracks an A-pipe load of [addr, addr+size). */
+    /**
+     * Tracks an A-pipe load of [addr, addr+size). Ids increase from
+     * one allocation to the next, a squash or clear() having dropped
+     * any younger ones; an id at or below the youngest slot still held
+     * panics.
+     */
     void allocate(DynId id, Addr addr, unsigned size);
 
-    /** A deferred store executed in the B-pipe: kill overlaps. */
+    /**
+     * A deferred store executed in the B-pipe: kill overlaps, with
+     * addresses wrapping at 2^64 as in SparseMemory.
+     */
     void invalidateOverlap(Addr addr, unsigned size);
 
     /**
@@ -77,28 +90,47 @@ class Alat
 
     void clear();
 
-    std::size_t liveEntries() const { return _entries.size(); }
+    std::size_t liveEntries() const { return _live; }
     const AlatStats &stats() const { return _stats; }
     AlatStats &stats() { return _stats; }
 
     /**
-     * Snapshot hooks. The allocation-order fifo is captured alongside
-     * the live entries so finite-capacity eviction order survives the
-     * round trip.
+     * Snapshot hooks: the live entries by id, then every unreclaimed
+     * slot's id in allocation order (released ones included), so
+     * finite-capacity eviction order survives the round trip.
+     * restore() fails the reader unless both lists ascend and every
+     * live entry has a slot.
      */
     void save(serial::Writer &w) const;
     void restore(serial::Reader &r);
 
   private:
-    struct Entry
+    struct Slot
     {
+        DynId id;
         Addr addr;
         unsigned size;
+        bool live; ///< false once merged, invalidated or evicted
     };
 
+    /** The unreclaimed slot holding @p id, or nullptr. */
+    Slot *find(DynId id);
+    /** Marks @p s released. */
+    void
+    release(Slot &s)
+    {
+        s.live = false;
+        --_live;
+    }
+
     unsigned _capacity;
-    std::unordered_map<DynId, Entry> _entries;
-    std::deque<DynId> _fifo; ///< allocation order, for finite eviction
+    /**
+     * Slots in allocation (= ascending id) order; [0, _head) were
+     * reclaimed and are dropped by the next compaction.
+     */
+    std::vector<Slot> _slots;
+    std::size_t _head = 0;
+    std::size_t _live = 0; ///< live slots in [_head, end)
     AlatStats _stats;
 };
 

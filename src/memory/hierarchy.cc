@@ -47,9 +47,6 @@ Hierarchy::drainFills(Cycle now)
         }
         Cache &l1 = f.isInst ? _l1i : _l1d;
         l1.insert(f.l1Line, f.dirty);
-
-        auto &in_flight = f.isInst ? _inFlightInst : _inFlightData;
-        in_flight.erase(f.l1Line);
     }
     _nextFillDue =
         _pendingFills.empty() ? kNoFill : _pendingFills.front().first;
@@ -78,6 +75,16 @@ Hierarchy::scheduleFill(Cycle due, const PendingFill &fill)
     _pendingFills.insert(pos, {due, fill});
     if (due < _nextFillDue)
         _nextFillDue = due;
+}
+
+Cycle
+Hierarchy::fillDue(Addr l1_line, bool is_inst) const
+{
+    for (const auto &[due, f] : _pendingFills) {
+        if (f.l1Line == l1_line && f.isInst == is_inst)
+            return due;
+    }
+    return kNoFill;
 }
 
 bool
@@ -125,8 +132,6 @@ Hierarchy::missPath(AccessKind kind, Addr addr, bool is_inst, Cycle now)
     const Addr line = l1.lineAddr(addr);
     const Cycle due = now + r.latency;
     scheduleFill(due, PendingFill{line, is_inst, is_store, r.level});
-    auto &in_flight = is_inst ? _inFlightInst : _inFlightData;
-    in_flight.emplace(line, due);
 
     if (kind == AccessKind::kLoad) {
         _outstandingLoads.push_back(due);
@@ -169,10 +174,8 @@ Hierarchy::access(AccessKind kind, Initiator who, Addr addr, Cycle now)
         r.latency = l1.geometry().latency;
     } else {
         // Merge into an in-flight fill of the same L1 line?
-        auto &in_flight = is_inst ? _inFlightInst : _inFlightData;
-        auto it = in_flight.find(l1.lineAddr(addr));
-        if (it != in_flight.end()) {
-            const Cycle due = it->second;
+        const Cycle due = fillDue(l1.lineAddr(addr), is_inst);
+        if (due != kNoFill) {
             r.latency = static_cast<unsigned>(
                 std::max<Cycle>(l1.geometry().latency,
                                 due > now ? due - now : 0));
@@ -189,7 +192,7 @@ Hierarchy::access(AccessKind kind, Initiator who, Addr addr, Cycle now)
                     const Addr next =
                         l1.lineAddr(addr) + static_cast<Addr>(d) * line;
                     if (l1.contains(next) ||
-                        in_flight.count(l1.lineAddr(next)) != 0) {
+                        fillDue(l1.lineAddr(next), is_inst) != kNoFill) {
                         continue;
                     }
                     ++_prefetches;
@@ -202,11 +205,9 @@ Hierarchy::access(AccessKind kind, Initiator who, Addr addr, Cycle now)
                         lat = _cfg.l3.latency;
                     else
                         lat = _cfg.memoryLatency;
-                    const Cycle due = now + lat;
-                    scheduleFill(due,
+                    scheduleFill(now + lat,
                                  PendingFill{l1.lineAddr(next), is_inst,
                                              false, MemLevel::kL1});
-                    in_flight.emplace(l1.lineAddr(next), due);
                 }
             }
         }
@@ -243,14 +244,27 @@ restoreStats(serial::Reader &r, AccessStats &s)
 namespace
 {
 
-void
-saveInFlight(serial::Writer &w,
-             const std::unordered_map<Addr, Cycle> &m)
+/**
+ * The (line, due) pairs of the fills in flight on one side, sorted by
+ * line: the encoding of the in-flight line lists, which snapshots
+ * carry next to the fills.
+ */
+template <typename Fills>
+std::vector<std::pair<Addr, Cycle>>
+inFlightLines(const Fills &fills, bool is_inst)
 {
-    // Sorted by line address: lookups are keyed, so order is
-    // semantics-free, but sorting makes the encoding deterministic.
-    std::vector<std::pair<Addr, Cycle>> v(m.begin(), m.end());
+    std::vector<std::pair<Addr, Cycle>> v;
+    for (const auto &[due, f] : fills) {
+        if (f.isInst == is_inst)
+            v.emplace_back(f.l1Line, due);
+    }
     std::sort(v.begin(), v.end());
+    return v;
+}
+
+void
+saveInFlight(serial::Writer &w, const std::vector<std::pair<Addr, Cycle>> &v)
+{
     w.u64(v.size());
     for (const auto &[line, due] : v) {
         w.u64(line);
@@ -258,15 +272,19 @@ saveInFlight(serial::Writer &w,
     }
 }
 
-void
-restoreInFlight(serial::Reader &r, std::unordered_map<Addr, Cycle> &m)
+/** Reads one in-flight list; true when it equals @p expect. */
+bool
+restoreInFlight(serial::Reader &r,
+                const std::vector<std::pair<Addr, Cycle>> &expect)
 {
-    m.clear();
     const std::size_t n = r.seq(16);
+    bool same = n == expect.size();
     for (std::size_t i = 0; i < n; ++i) {
         const Addr line = r.u64();
-        m[line] = r.u64();
+        const Cycle due = r.u64();
+        same = same && expect[i] == std::pair<Addr, Cycle>{line, due};
     }
+    return same;
 }
 
 } // namespace
@@ -288,8 +306,8 @@ Hierarchy::save(serial::Writer &w) const
         w.u8(static_cast<std::uint8_t>(f.from));
     }
 
-    saveInFlight(w, _inFlightData);
-    saveInFlight(w, _inFlightInst);
+    saveInFlight(w, inFlightLines(_pendingFills, false));
+    saveInFlight(w, inFlightLines(_pendingFills, true));
 
     // The heap vector verbatim: layout determines pop order among
     // equal completion cycles.
@@ -326,8 +344,13 @@ Hierarchy::restore(serial::Reader &r)
     _nextFillDue =
         _pendingFills.empty() ? kNoFill : _pendingFills.front().first;
 
-    restoreInFlight(r, _inFlightData);
-    restoreInFlight(r, _inFlightInst);
+    // The lists are derived state; a stream whose lists disagree with
+    // its fills (or names a line twice on one side) is corrupt.
+    if (!restoreInFlight(r, inFlightLines(_pendingFills, false)) ||
+        !restoreInFlight(r, inFlightLines(_pendingFills, true))) {
+        r.fail();
+        return;
+    }
 
     _outstandingLoads.clear();
     const std::size_t loads = r.seq(8);
@@ -348,8 +371,6 @@ Hierarchy::reset()
     _l3.reset();
     _pendingFills.clear();
     _nextFillDue = kNoFill;
-    _inFlightData.clear();
-    _inFlightInst.clear();
     _outstandingLoads.clear();
     _stats.reset();
     _instStats.reset();

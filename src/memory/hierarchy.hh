@@ -16,7 +16,6 @@
 #include <array>
 #include <cstdint>
 #include <limits>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -194,8 +193,10 @@ class Hierarchy
     /**
      * Snapshot hooks: all four caches, pending fills in completion
      * order (insertion order among same-cycle fills is preserved, so
-     * install order replays exactly), in-flight merge maps, the MSHR
-     * min-heap verbatim, and every statistic.
+     * install order replays exactly), the in-flight data and
+     * instruction lines (derived from the fills; restore() fails the
+     * reader when the two disagree), the MSHR min-heap verbatim, and
+     * every statistic.
      */
     void save(serial::Writer &w) const;
     void restore(serial::Reader &r);
@@ -225,6 +226,14 @@ class Hierarchy
      */
     void scheduleFill(Cycle due, const PendingFill &fill);
 
+    /**
+     * Due cycle of the fill in flight for L1 line @p l1_line on the
+     * instruction (@p is_inst) or data side, or kNoFill. A line has at
+     * most one fill in flight per side: an access merges into it, and
+     * a prefetch skips it.
+     */
+    Cycle fillDue(Addr l1_line, bool is_inst) const;
+
     /** _nextFillDue value meaning "no fill in flight". */
     static constexpr Cycle kNoFill =
         std::numeric_limits<Cycle>::max();
@@ -236,17 +245,15 @@ class Hierarchy
     Cache _l3;
 
     /**
-     * Fills in flight as a flat table sorted by completion cycle.
-     * Bounded by MSHRs + prefetch degree in practice, so the O(n)
-     * sorted insert and front erase beat node allocation.
+     * Fills in flight as a flat table sorted by completion cycle. It
+     * is also the in-flight line index that merges and prefetches
+     * search. It is bounded by the MSHRs, the store and fetch misses
+     * and the prefetches in flight, so the O(n) sorted insert, front
+     * erase and search beat any node-based map.
      */
     std::vector<std::pair<Cycle, PendingFill>> _pendingFills;
     /** Due cycle of the earliest pending fill, or kNoFill. */
     Cycle _nextFillDue = kNoFill;
-
-    /** L1-line -> completion cycle, for merge detection. */
-    std::unordered_map<Addr, Cycle> _inFlightData;
-    std::unordered_map<Addr, Cycle> _inFlightInst;
 
     /**
      * Completion cycles of loads occupying MSHRs, as a min-heap on

@@ -27,6 +27,18 @@ namespace memory
 {
 
 /**
+ * True when the byte ranges [a, a + a_size) and [b, b + b_size) share
+ * a byte. Both sizes must be non-zero. Addresses are taken modulo
+ * 2^64, as SparseMemory's accessors take them: a range that runs past
+ * the top of the address space continues at address 0.
+ */
+inline bool
+rangesOverlap(Addr a, unsigned a_size, Addr b, unsigned b_size)
+{
+    return b - a < a_size || a - b < b_size;
+}
+
+/**
  * Sparse, zero-initialized, 64-bit address space.
  *
  * Pages are held by shared pointer and copied on write: copying a

@@ -21,32 +21,29 @@ std::uint64_t
 StoreBuffer::read(DynId load_id, Addr addr, unsigned size,
                   const SparseMemory &mem, bool *any_forwarded) const
 {
-    std::uint64_t result = 0;
+    // One memory read, then the bytes of every older overlapping store
+    // laid over it oldest first, so the youngest store of each byte
+    // wins. With no such store (the common case) the loop below only
+    // tests each entry once.
+    std::uint64_t v = mem.read(addr, size);
     bool forwarded = false;
-    for (unsigned byte = 0; byte < size; ++byte) {
-        const Addr a = addr + byte;
-        std::uint8_t v = 0;
-        bool from_buffer = false;
-        // Youngest-first scan for the byte's most recent older store.
-        for (auto it = _entries.rbegin(); it != _entries.rend(); ++it) {
-            if (it->id >= load_id)
+    for (std::size_t i = 0; i < _entries.size(); ++i) {
+        const StoreBufferEntry &e = _entries[i];
+        if (e.id >= load_id || !rangesOverlap(e.addr, e.size, addr, size))
+            continue;
+        forwarded = true;
+        for (unsigned byte = 0; byte < size; ++byte) {
+            const Addr off = addr + byte - e.addr; // wraps like memory
+            if (off >= e.size)
                 continue;
-            if (a >= it->addr && a < it->addr + it->size) {
-                v = static_cast<std::uint8_t>(
-                    it->value >> (8 * (a - it->addr)));
-                from_buffer = true;
-                break;
-            }
+            const std::uint64_t mask = std::uint64_t{0xFF} << (8 * byte);
+            v = (v & ~mask) |
+                (((e.value >> (8 * off)) & 0xFF) << (8 * byte));
         }
-        if (!from_buffer)
-            v = mem.readByte(a);
-        else
-            forwarded = true;
-        result |= static_cast<std::uint64_t>(v) << (8 * byte);
     }
     if (any_forwarded)
         *any_forwarded = forwarded;
-    return result;
+    return v;
 }
 
 void

@@ -11,8 +11,8 @@
 #define FF_MEMORY_STORE_BUFFER_HH
 
 #include <cstdint>
-#include <deque>
 
+#include "common/ring.hh"
 #include "common/serialize.hh"
 #include "common/types.hh"
 #include "memory/sparse_memory.hh"
@@ -36,7 +36,7 @@ class StoreBuffer
 {
   public:
     explicit StoreBuffer(std::size_t capacity = 64)
-        : _capacity(capacity)
+        : _capacity(capacity), _entries(capacity)
     {
     }
 
@@ -53,7 +53,8 @@ class StoreBuffer
     /**
      * Composes the value an A-pipe load observes: per byte, the
      * youngest buffered store older than @p load_id covering that
-     * byte wins; uncovered bytes come from @p mem.
+     * byte wins; uncovered bytes come from @p mem. Addresses wrap at
+     * 2^64, as in SparseMemory.
      *
      * @param any_forwarded set true if at least one byte came from
      *        the buffer (store-to-load forwarding occurred)
@@ -74,10 +75,7 @@ class StoreBuffer
 
     void clear() { _entries.clear(); }
 
-    const std::deque<StoreBufferEntry> &entries() const
-    {
-        return _entries;
-    }
+    const Ring<StoreBufferEntry> &entries() const { return _entries; }
 
     /** Snapshot hooks: capacity (verified on restore) + entries. */
     void
@@ -85,7 +83,8 @@ class StoreBuffer
     {
         w.u64(_capacity);
         w.u64(_entries.size());
-        for (const StoreBufferEntry &e : _entries) {
+        for (std::size_t i = 0; i < _entries.size(); ++i) {
+            const StoreBufferEntry &e = _entries[i];
             w.u64(e.id);
             w.u64(e.addr);
             w.u32(e.size);
@@ -102,6 +101,10 @@ class StoreBuffer
         }
         _entries.clear();
         const std::size_t n = r.seq(28);
+        if (n > _capacity) {
+            r.fail();
+            return;
+        }
         for (std::size_t i = 0; i < n; ++i) {
             StoreBufferEntry e;
             e.id = r.u64();
@@ -114,7 +117,7 @@ class StoreBuffer
 
   private:
     std::size_t _capacity;
-    std::deque<StoreBufferEntry> _entries; ///< oldest first
+    Ring<StoreBufferEntry> _entries; ///< oldest first
 };
 
 } // namespace memory

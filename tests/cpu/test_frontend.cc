@@ -96,6 +96,32 @@ TEST(FrontEnd, QueueCapacityThrottlesFetch)
     EXPECT_EQ(n, 2u);
 }
 
+TEST(FrontEnd, QueueWrapsPastCapacity)
+{
+    // 30 one-slot groups through a 3-group queue: fetch runs ahead of
+    // a consumer that pops every other cycle, so the queue stays full
+    // and its ring's head passes the capacity many times.
+    ProgramBuilder b("line");
+    for (int i = 0; i < 30; ++i)
+        b.addi(intReg(1), intReg(1), 1);
+    b.halt();
+    Fixture f(b.finalize());
+    f.cfg.fetchQueueGroups = 3;
+    FrontEnd fe(f.prog, f.cfg, f.pred, f.hier,
+                memory::Initiator::kBaseline);
+    InstIdx expect = 0;
+    for (Cycle c = 0; c < 200 && expect < f.prog.size(); ++c) {
+        fe.tick(c);
+        if (c % 2 == 1 && fe.headReady(c)) {
+            EXPECT_EQ(fe.head().leader, expect);
+            fe.pop();
+            ++expect;
+        }
+    }
+    EXPECT_EQ(expect, f.prog.size());
+    EXPECT_TRUE(fe.empty());
+}
+
 TEST(FrontEnd, BranchGroupCarriesPredictionMetadata)
 {
     Fixture f;

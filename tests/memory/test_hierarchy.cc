@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
+#include "common/serialize.hh"
 #include "memory/hierarchy.hh"
 
 namespace
@@ -9,6 +13,24 @@ namespace
 
 using namespace ff;
 using namespace ff::memory;
+
+std::vector<std::uint8_t>
+saved(const Hierarchy &h)
+{
+    serial::Writer w;
+    h.save(w);
+    return w.take();
+}
+
+/** True when @p bytes restore into a fresh default hierarchy. */
+bool
+restores(const std::vector<std::uint8_t> &bytes)
+{
+    Hierarchy h((MemoryConfig()));
+    serial::Reader r(bytes);
+    h.restore(r);
+    return r.ok();
+}
 
 AccessResult
 load(Hierarchy &h, Addr a, Cycle now,
@@ -217,6 +239,63 @@ TEST(Hierarchy, PrefetchesTakeNoMshrs)
     Hierarchy h(cfg);
     load(h, 0x1000, 0);
     EXPECT_EQ(h.outstandingLoads(0), 1u); // the demand miss only
+}
+
+TEST(Hierarchy, SnapshotKeepsInFlightFills)
+{
+    Hierarchy h((MemoryConfig()));
+    load(h, 0x1000, 0); // data fill due at 145
+    h.tick(3);
+    h.access(AccessKind::kInstFetch, Initiator::kBaseline, 0x1000, 3);
+    const std::vector<std::uint8_t> bytes = saved(h);
+    Hierarchy g((MemoryConfig()));
+    serial::Reader r(bytes);
+    g.restore(r);
+    ASSERT_TRUE(r.ok());
+    EXPECT_EQ(saved(g), bytes);
+    // Both fills still merge later accesses on their own side.
+    const AccessResult d = load(g, 0x1000, 100);
+    EXPECT_TRUE(d.mergedInFlight);
+    EXPECT_EQ(d.latency, 45u);
+    const AccessResult i =
+        g.access(AccessKind::kInstFetch, Initiator::kBaseline, 0x1000, 100);
+    EXPECT_TRUE(i.mergedInFlight);
+    EXPECT_EQ(i.latency, 48u);
+}
+
+TEST(Hierarchy, RestoreRejectsInFlightListsThatDisagreeWithFills)
+{
+    Hierarchy h((MemoryConfig()));
+    load(h, 0x1000, 0); // data fill of line 0x1000 due at 145
+    const std::vector<std::uint8_t> bytes = saved(h);
+    ASSERT_TRUE(restores(bytes));
+
+    // The in-flight data list holds (line, due); the fill table holds
+    // (due, line), so the pair occurs once, in the list.
+    serial::Writer pair;
+    pair.u64(0x1000);
+    pair.u64(145);
+    const std::vector<std::uint8_t> &pat = pair.buffer();
+    const auto at =
+        std::search(bytes.begin(), bytes.end(), pat.begin(), pat.end());
+    ASSERT_NE(at, bytes.end());
+    ASSERT_EQ(std::search(at + 1, bytes.end(), pat.begin(), pat.end()),
+              bytes.end());
+    const std::size_t off = static_cast<std::size_t>(at - bytes.begin());
+
+    std::vector<std::uint8_t> wrong_due = bytes;
+    wrong_due[off + 8] = 146;
+    EXPECT_FALSE(restores(wrong_due));
+
+    std::vector<std::uint8_t> wrong_line = bytes;
+    wrong_line[off + 1] = 0x20; // line 0x2000, which has no fill
+    EXPECT_FALSE(restores(wrong_line));
+
+    std::vector<std::uint8_t> missing = bytes;
+    missing[off - 8] = 0; // the list claims no data line in flight
+    missing.erase(missing.begin() + static_cast<std::ptrdiff_t>(off),
+                  missing.begin() + static_cast<std::ptrdiff_t>(off + 16));
+    EXPECT_FALSE(restores(missing));
 }
 
 TEST(Hierarchy, MemLevelNames)

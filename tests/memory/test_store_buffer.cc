@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/serialize.hh"
 #include "memory/store_buffer.hh"
 
 namespace
@@ -99,6 +100,74 @@ TEST(StoreBuffer, SquashYoungerThan)
     sb.squashYoungerThan(5);
     EXPECT_EQ(sb.size(), 2u);
     EXPECT_EQ(sb.entries().back().id, 5u);
+}
+
+TEST(StoreBuffer, ForwardsAcrossAddressWrap)
+{
+    constexpr Addr kTop4 = 0xFFFF'FFFF'FFFF'FFFCULL; // 2^64 - 4
+    StoreBuffer sb(8);
+    SparseMemory mem;
+    mem.write32(kTop4, 0x11223344);
+    // An 8-byte load at 2^64 - 4 reads four bytes below 2^64 and four
+    // from address 0, where the store forwards.
+    sb.insert(1, 0, 4, 0xAABBCCDD);
+    bool fwd = false;
+    EXPECT_EQ(sb.read(5, kTop4, 8, mem, &fwd), 0xAABBCCDD11223344ULL);
+    EXPECT_TRUE(fwd);
+}
+
+TEST(StoreBuffer, WrappingStoreForwards)
+{
+    // An 8-byte store at 2^64 - 4 covers addresses 0..3 too, as
+    // SparseMemory::write does.
+    StoreBuffer sb(8);
+    SparseMemory mem;
+    sb.insert(1, 0xFFFF'FFFF'FFFF'FFFCULL, 8, 0x0102030405060708ULL);
+    bool fwd = false;
+    EXPECT_EQ(sb.read(5, 0, 4, mem, &fwd), 0x01020304u);
+    EXPECT_TRUE(fwd);
+    EXPECT_EQ(sb.read(5, 4, 4, mem, &fwd), 0u);
+    EXPECT_FALSE(fwd);
+}
+
+TEST(StoreBuffer, RingWrapsPastCapacity)
+{
+    // Commit and insert in lockstep so the ring's head passes its
+    // capacity several times; forwarding must always see the youngest
+    // older store.
+    StoreBuffer sb(3);
+    SparseMemory mem;
+    DynId next = 1;
+    for (int i = 0; i < 3; ++i, ++next)
+        sb.insert(next, 0x100, 8, next);
+    for (int round = 0; round < 20; ++round, ++next) {
+        sb.commitOldest(next - 3, mem);
+        EXPECT_EQ(mem.read64(0x100), next - 3);
+        sb.insert(next, 0x100, 8, next);
+        ASSERT_TRUE(sb.full());
+        EXPECT_EQ(sb.entries().front().id, next - 2);
+        EXPECT_EQ(sb.read(next + 1, 0x100, 8, mem, nullptr), next);
+        EXPECT_EQ(sb.read(next, 0x100, 8, mem, nullptr), next - 1);
+    }
+}
+
+TEST(StoreBuffer, RestoreRejectsMoreEntriesThanCapacity)
+{
+    // A stream naming this buffer's capacity but holding more entries
+    // than fit is corrupt.
+    serial::Writer w;
+    w.u64(2); // capacity
+    w.u64(3); // entries
+    for (DynId id = 1; id <= 3; ++id) {
+        w.u64(id);
+        w.u64(0x100 * id);
+        w.u32(8);
+        w.u64(id);
+    }
+    StoreBuffer sb(2);
+    serial::Reader r(w.buffer());
+    sb.restore(r);
+    EXPECT_FALSE(r.ok());
 }
 
 TEST(StoreBuffer, ClearEmpties)

@@ -117,6 +117,82 @@ TEST(Snapshot, RoundTripMidRunEveryKindEveryWorkload)
     }
 }
 
+/** Records every cycle's Figure-6 class. */
+struct ClassRecorder : cpu::CoreObserver
+{
+    std::vector<cpu::CycleClass> classes;
+
+    void
+    onCycle(Cycle, cpu::CycleClass cls) override
+    {
+        classes.push_back(cls);
+    }
+};
+
+TEST(Snapshot, RoundTripInsideHeldLoadStall)
+{
+    // The B-pipe holds a load-stall verdict until the blocking load's
+    // ready cycle instead of rescanning its window. The snapshot does
+    // not carry that memo, so a model restored mid-stall recomputes it
+    // and must still run on bit-identically.
+    const cpu::CoreConfig cfg = sim::table1Config();
+    const workloads::Workload &w = suite()[0];
+    ASSERT_EQ(w.name, "181.mcf");
+    for (const sim::CpuKind kind :
+         {sim::CpuKind::kTwoPass, sim::CpuKind::kTwoPassRegroup}) {
+        SCOPED_TRACE(sim::cpuKindName(kind));
+        ClassRecorder rec;
+        const std::unique_ptr<cpu::CpuModel> probe =
+            cpu::makeModel(kind, w.program, cfg);
+        probe->setObserver(&rec);
+        ASSERT_TRUE(probe->run(sim::kDefaultMaxCycles).halted);
+        // Cut two cycles into a load stall that lasts past the cut:
+        // its verdict was computed at its first cycle and is held.
+        std::uint64_t cut = 0;
+        for (std::uint64_t c = 1000; c < rec.classes.size(); ++c) {
+            if (rec.classes[c - 2] == cpu::CycleClass::kLoadStall &&
+                rec.classes[c - 1] == cpu::CycleClass::kLoadStall &&
+                rec.classes[c] == cpu::CycleClass::kLoadStall) {
+                cut = c;
+                break;
+            }
+        }
+        ASSERT_NE(cut, 0u);
+
+        const std::unique_ptr<cpu::CpuModel> ref =
+            cpu::makeModel(kind, w.program, cfg);
+        ASSERT_FALSE(ref->run(cut + 300).halted);
+        const sim::Snapshot ref_later =
+            sim::saveSnapshot(*ref, kind, w.program, cfg);
+        ref->rearmResume();
+        const cpu::RunResult ref_run = ref->run(sim::kDefaultMaxCycles);
+
+        const std::unique_ptr<cpu::CpuModel> first =
+            cpu::makeModel(kind, w.program, cfg);
+        ASSERT_FALSE(first->run(cut).halted);
+        const std::unique_ptr<cpu::CpuModel> second =
+            cpu::makeModel(kind, w.program, cfg);
+        sim::restoreSnapshot(*second,
+                             sim::saveSnapshot(*first, kind, w.program,
+                                               cfg),
+                             kind, w.program, cfg);
+        ASSERT_FALSE(second->run(cut + 300).halted);
+        EXPECT_EQ(sim::saveSnapshot(*second, kind, w.program, cfg).state,
+                  ref_later.state);
+        second->rearmResume();
+        const cpu::RunResult resumed = second->run(sim::kDefaultMaxCycles);
+
+        ASSERT_TRUE(resumed.halted);
+        EXPECT_EQ(resumed.cycles, ref_run.cycles);
+        EXPECT_EQ(resumed.instsRetired, ref_run.instsRetired);
+        EXPECT_EQ(second->archRegs().fingerprint(),
+                  ref->archRegs().fingerprint());
+        EXPECT_EQ(second->memState().fingerprint(),
+                  ref->memState().fingerprint());
+        EXPECT_EQ(second->statsReport(), ref->statsReport());
+    }
+}
+
 TEST(Snapshot, SaveIsReadOnlyAndRepeatable)
 {
     const cpu::CoreConfig cfg = sim::table1Config();

@@ -10,6 +10,7 @@
 
 #include "compiler/scheduler.hh"
 #include "cpu/functional/functional_cpu.hh"
+#include "cpu/twopass/feedback.hh"
 #include "cpu/twopass/twopass_cpu.hh"
 #include "isa/builder.hh"
 
@@ -60,6 +61,47 @@ TEST(Feedback, UpdatesAreAppliedAndDropped)
     // In a loop, most feedback is stale by arrival (a younger
     // instance re-marked the register) — the DynID gate drops it.
     EXPECT_GT(s.feedbackDropped, 0u);
+}
+
+TEST(Feedback, QueueGrowsPastFirstCapacity)
+{
+    // At bench_fig8's longest latency, 15 cycles of four retirements
+    // each are in flight at once: 60 updates, far past the queue's
+    // first capacity of 8.
+    CoreConfig cfg;
+    cfg.feedbackLatency = 16;
+    MachineState ms(cfg);
+    TwoPassStats stats;
+    FeedbackPath fb(cfg, ms, stats);
+    constexpr unsigned kRegs = 60;
+    ProgramBuilder b("dsts");
+    for (unsigned r = 1; r <= kRegs; ++r)
+        b.movi(intReg(r), 0);
+    b.halt();
+    const Program p = b.finalize();
+
+    for (unsigned r = 1; r <= kRegs; ++r) {
+        const DynId id = r;
+        ms.afile.markDeferred(intReg(r), id); // feedback owns r
+        ms.regs.write(intReg(r), 1000 + r);
+        fb.schedule(p.inst(r - 1), id, /*now=*/(r - 1) / 4);
+    }
+    ASSERT_EQ(fb.size(), kRegs);
+    fb.squashYoungerThan(kRegs - 4); // drops the last cycle's four
+    EXPECT_EQ(fb.size(), kRegs - 4);
+
+    fb.apply(15);
+    EXPECT_EQ(stats.feedbackApplied, 0u);
+    fb.apply(16); // cycle 0's four
+    EXPECT_EQ(stats.feedbackApplied, 4u);
+    fb.apply(100);
+    EXPECT_EQ(stats.feedbackApplied, kRegs - 4);
+    EXPECT_TRUE(fb.empty());
+    for (unsigned r = 1; r <= kRegs - 4; ++r) {
+        ASSERT_TRUE(ms.afile.valid(intReg(r)));
+        EXPECT_EQ(ms.afile.read(intReg(r)), 1000u + r);
+    }
+    EXPECT_FALSE(ms.afile.valid(intReg(kRegs)));
 }
 
 TEST(Feedback, DisabledModeDefersMore)
