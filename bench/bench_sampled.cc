@@ -99,10 +99,10 @@ main(int argc, char **argv)
                 sopt = parseSampleSpec(argv[++i]);
             else if (std::strcmp(argv[i], "--max-err") == 0 &&
                      i + 1 < argc)
-                max_err_pct = std::atof(argv[++i]);
+                max_err_pct = cli::parseReal("--max-err", argv[++i]);
             else if (std::strcmp(argv[i], "--min-speedup") == 0 &&
                      i + 1 < argc)
-                min_speedup = std::atof(argv[++i]);
+                min_speedup = cli::parseReal("--min-speedup", argv[++i]);
             else
                 argv[out++] = argv[i];
         }

@@ -1,9 +1,10 @@
 /**
  * @file
- * Whole-value parsing of unsigned numeric options and environment
- * variables, so a malformed value ("--alat x", "--cq -1", "--jobs
- * 4294967297") fails naming the flag instead of running with whatever
- * prefix strtoul read, or whatever a narrowing cast left of it.
+ * Whole-value parsing of numeric options and environment variables,
+ * so a malformed value ("--alat x", "--cq -1", "--jobs 4294967297",
+ * "--max-err abc") fails naming the flag instead of running with
+ * whatever prefix strtoul or atof read, or whatever a narrowing cast
+ * left of it.
  */
 
 #ifndef FF_COMMON_CLI_NUMBER_HH
@@ -11,6 +12,7 @@
 
 #include <cctype>
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <limits>
 #include <string>
@@ -61,6 +63,28 @@ parseNumber(const std::string &flag, const std::string &text)
                 static_cast<unsigned long long>(
                     std::numeric_limits<T>::max()),
                 ")");
+    return v;
+}
+
+/**
+ * Parses @p text as one finite, non-negative real number in strtod's
+ * syntax, fatal, naming @p flag and the value, when the text is
+ * empty, signed, has anything after the number, or is out of range.
+ */
+inline double
+parseReal(const std::string &flag, const std::string &text)
+{
+    char *end = nullptr;
+    errno = 0;
+    const double v = std::strtod(text.c_str(), &end);
+    // As above, the first character must start the number itself; a
+    // digit or '.' also rules out "inf" and "nan".
+    const bool ok = !text.empty() &&
+                    (std::isdigit(static_cast<unsigned char>(text[0])) ||
+                     text[0] == '.') &&
+                    *end == '\0' && errno != ERANGE && std::isfinite(v);
+    ff_fatal_if(!ok, "bad ", flag, " value '", text,
+                "' (expected a non-negative number)");
     return v;
 }
 

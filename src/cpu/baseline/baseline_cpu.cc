@@ -1,7 +1,6 @@
 #include "cpu/baseline/baseline_cpu.hh"
 
 #include <array>
-#include <vector>
 
 #include "cpu/exec.hh"
 #include "cpu/stats_report.hh"
@@ -22,39 +21,47 @@ namespace
  * @p now, else the Figure-6 class of the first blocking hazard in slot
  * order. The group stalls atomically when any of its instructions'
  * operands are pending (Figure 2(a)), and conservatively when its
- * loads could overflow the MSHRs.
+ * loads could overflow the MSHRs. On a stall, @p until receives the
+ * cycle before which the verdict cannot change while nothing issues:
+ * the blocking register's ready cycle (the operands before it were
+ * ready and stay ready), or kNeverCycle for the MSHR check, which
+ * only an MSHR release can change.
  */
 CycleClass
 checkGroupIssue(const isa::Program &prog, InstIdx leader, InstIdx end,
                 const Scoreboard &sb, const RegFile &regs,
                 const memory::Hierarchy &hier, const CoreConfig &cfg,
-                Cycle now)
+                Cycle now, Cycle &until)
 {
     // Fast path: with no producer in flight anywhere, every ready()
     // query below is vacuously true and the MSHR bound cannot bind.
     if (sb.quiescentBy(now) && hier.outstandingLoads(now) == 0)
         return CycleClass::kUnstalled;
 
+    auto blocked_on = [&](isa::RegId r) {
+        until = sb.readyAt(r);
+        return stallClassFor(sb, r);
+    };
     unsigned loads_wanted = 0;
     for (InstIdx i = leader; i < end; ++i) {
         const isa::Instruction &in = prog.inst(i);
         if (!sb.ready(in.qpred, now))
-            return stallClassFor(sb, in.qpred);
+            return blocked_on(in.qpred);
         const bool qp = regs.readPred(in.qpred);
         if (!qp && !in.isBranch())
             continue; // nullified slot needs no operands
         if (in.src1.valid() && !sb.ready(in.src1, now))
-            return stallClassFor(sb, in.src1);
+            return blocked_on(in.src1);
         if (in.src2.valid() && !in.src2IsImm &&
             !sb.ready(in.src2, now)) {
-            return stallClassFor(sb, in.src2);
+            return blocked_on(in.src2);
         }
         if (cfg.wawStall) {
             std::array<isa::RegId, 2> dsts;
             const unsigned nd = in.destinations(dsts);
             for (unsigned d = 0; d < nd; ++d) {
                 if (!sb.ready(dsts[d], now))
-                    return stallClassFor(sb, dsts[d]);
+                    return blocked_on(dsts[d]);
             }
         }
         if (in.isLoad() && qp)
@@ -68,6 +75,7 @@ checkGroupIssue(const isa::Program &prog, InstIdx leader, InstIdx end,
         // Stalling only helps while an outstanding load could retire
         // and free an MSHR; a group carrying more loads than the
         // machine has MSHRs must still issue eventually.
+        until = kNeverCycle;
         return CycleClass::kResourceStall;
     }
     return CycleClass::kUnstalled;
@@ -78,8 +86,10 @@ checkGroupIssue(const isa::Program &prog, InstIdx leader, InstIdx end,
 CycleClass
 BaselineCpu::tryIssue(Cycle now, RunResult &res)
 {
-    if (!_fe.headReady(now))
+    if (!_fe.headReady(now)) {
+        _heldUntil = kNeverCycle;
         return CycleClass::kFrontEndStall;
+    }
 
     const FetchedGroup &g = _fe.head();
     const InstIdx leader = g.leader;
@@ -87,7 +97,8 @@ BaselineCpu::tryIssue(Cycle now, RunResult &res)
 
     // ---- dependence + resource check (REG stage): whole-group stall
     const CycleClass stall = checkGroupIssue(
-        _prog, leader, end, _ms.sb, _ms.regs, _hier, _cfg, now);
+        _prog, leader, end, _ms.sb, _ms.regs, _hier, _cfg, now,
+        _heldUntil);
     if (stall != CycleClass::kUnstalled)
         return stall;
 
@@ -98,16 +109,9 @@ BaselineCpu::tryIssue(Cycle now, RunResult &res)
     const FetchedGroup group = g;
     _fe.pop();
 
-    struct SlotOperands
-    {
-        bool qpred;
-        RegVal s1;
-        RegVal s2;
-    };
-    std::vector<SlotOperands> ops(end - leader);
     for (InstIdx i = leader; i < end; ++i) {
         const Instruction &in = _prog.inst(i);
-        SlotOperands &o = ops[i - leader];
+        SlotOperands &o = _ops[i - leader];
         o.qpred = _ms.regs.readPred(in.qpred);
         o.s1 = in.src1.valid() ? _ms.regs.read(in.src1) : 0;
         o.s2 = operandSrc2(
@@ -116,7 +120,7 @@ BaselineCpu::tryIssue(Cycle now, RunResult &res)
 
     for (InstIdx i = leader; i < end; ++i) {
         const Instruction &in = _prog.inst(i);
-        const SlotOperands &o = ops[i - leader];
+        const SlotOperands &o = _ops[i - leader];
         ++res.instsRetired;
 
         if (in.isHalt()) {

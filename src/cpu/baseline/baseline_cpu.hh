@@ -12,6 +12,9 @@
 #ifndef FF_CPU_BASELINE_BASELINE_CPU_HH
 #define FF_CPU_BASELINE_BASELINE_CPU_HH
 
+#include <algorithm>
+#include <vector>
+
 #include "cpu/cpu.hh"
 #include "cpu/scoreboard.hh"
 
@@ -23,10 +26,10 @@ namespace cpu
 /** Counters specific to the baseline model. */
 struct BaselineStats
 {
-    std::uint64_t loadsIssued = 0;
-    std::uint64_t storesIssued = 0;
-    std::uint64_t branchesRetired = 0;
-    std::uint64_t mispredicts = 0;
+    std::uint64_t loadsIssued = 0;     ///< predicated-true loads issued
+    std::uint64_t storesIssued = 0;    ///< predicated-true stores issued
+    std::uint64_t branchesRetired = 0; ///< branches resolved at issue
+    std::uint64_t mispredicts = 0;     ///< of those, mispredicted
 };
 
 /** In-order, stall-on-use EPIC pipeline. */
@@ -46,6 +49,9 @@ class BaselineCpu : public CpuModel
             [this](Cycle now, RunResult &res) {
                 return tryIssue(now, res);
             },
+            [this](Cycle, Cycle limit) {
+                return std::min(_heldUntil, limit);
+            },
             max_cycles);
     }
 
@@ -61,7 +67,7 @@ class BaselineCpu : public CpuModel
      */
     BaselineCpu(const isa::Program &prog, const CoreConfig &cfg,
                 memory::Initiator who)
-        : CpuModel(prog, cfg, who)
+        : CpuModel(prog, cfg, who), _ops(cfg.limits.issueWidth)
     {
     }
 
@@ -76,7 +82,31 @@ class BaselineCpu : public CpuModel
     CycleClass tryIssue(Cycle now, RunResult &res);
 
   private:
+    /** One issuing slot's operands, read before any slot writes. */
+    struct SlotOperands
+    {
+        bool qpred;
+        RegVal s1;
+        RegVal s2;
+    };
+
     BaselineStats _stats;
+
+    /**
+     * The operand snapshot of the issuing group, one entry per slot.
+     * Sized once to cfg.limits.issueWidth, which the constructor has
+     * checked every group against, so issuing allocates nothing.
+     */
+    std::vector<SlotOperands> _ops;
+
+    /**
+     * Set by every stalled tryIssue(): the cycle before which that
+     * verdict holds while nothing else changes. It is the blocking
+     * register's ready cycle for a dependence stall, and kNeverCycle
+     * for a front-end or MSHR stall, which only the front end's or
+     * the hierarchy's next event can lift.
+     */
+    Cycle _heldUntil = 0;
 };
 
 } // namespace cpu

@@ -8,15 +8,17 @@
  * dense MachineState — validates the program and loads its data image
  * once in its constructor, and provides the single-shot run loop that
  * ticks the hierarchy, calls the model's own tick, records the
- * returned cycle class, and advances the front end. Models implement
- * only their genuinely distinct per-cycle logic. The experiment
- * harness runs any model to completion and compares architectural
- * results and cycle accounting.
+ * returned cycle class, advances the front end, and skips the quiet
+ * cycles that follow a stall. Models implement only their genuinely
+ * distinct per-cycle logic. The experiment harness runs any model to
+ * completion and compares architectural results and cycle
+ * accounting.
  */
 
 #ifndef FF_CPU_CPU_HH
 #define FF_CPU_CPU_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -195,14 +197,24 @@ class CpuModel
      * lambda so the per-cycle call devirtualizes and inlines instead
      * of going through a vtable.
      *
+     * After a stalled tick at `now` the loop skips the quiet cycles
+     * that follow (DESIGN.md §9). It bounds them by the hierarchy's
+     * and the front end's next events and the budget, then asks
+     * @p skip_fn, as skip_fn(now, limit), for the model's own horizon:
+     * it returns the first cycle, at most limit, at which the model's
+     * tick can do anything but repeat its verdict, and it charges the
+     * model's per-cycle counters for every cycle before that one. The
+     * loop charges those cycles to the same class and delivers one
+     * onCycle per cycle to any observer.
+     *
      * Single-shot — except that a restoreState() re-arms it to
      * continue from the restored cycle, and the loop state lives in
      * members so a run stopped by max_cycles resumes exactly where it
      * left off after a snapshot round trip.
      */
-    template <typename TickFn>
+    template <typename TickFn, typename SkipFn>
     RunResult
-    runLoop(TickFn &&tick_fn, std::uint64_t max_cycles)
+    runLoop(TickFn &&tick_fn, SkipFn &&skip_fn, std::uint64_t max_cycles)
     {
         ff_panic_if(_ran && !_resumable,
                     "CPU models are single-shot; construct anew (or "
@@ -213,11 +225,21 @@ class CpuModel
         while (!_res.halted && _now < max_cycles) {
             _hier.tick(_now);
             const CycleClass cls = tick_fn(_now, _res);
-            _acct.record(cls);
-            if (_ms.observer != nullptr)
-                _ms.observer->onCycle(_now, cls);
+            Cycle next = _now + 1;
+            if (cls != CycleClass::kUnstalled) {
+                const Cycle limit =
+                    std::min({_hier.nextEvent(), _fe.nextEvent(_now),
+                              Cycle{max_cycles}});
+                if (limit > next)
+                    next = std::max(next, skip_fn(_now, limit));
+            }
+            _acct.record(cls, next - _now);
+            if (_ms.observer != nullptr) {
+                for (Cycle t = _now; t < next; ++t)
+                    _ms.observer->onCycle(t, cls);
+            }
             _fe.tick(_now);
-            ++_now;
+            _now = next;
         }
         _res.cycles = _now;
         return _res;

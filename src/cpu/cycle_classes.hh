@@ -38,7 +38,12 @@ struct CycleAccounting
 {
     std::array<std::uint64_t, kNumCycleClasses> counts{};
 
-    void record(CycleClass c) { ++counts[static_cast<unsigned>(c)]; }
+    /** Charges @p cycles consecutive cycles to class @p c. */
+    void
+    record(CycleClass c, std::uint64_t cycles)
+    {
+        counts[static_cast<unsigned>(c)] += cycles;
+    }
 
     std::uint64_t
     total() const

@@ -11,6 +11,8 @@
 #ifndef FF_CPU_FRONTEND_HH
 #define FF_CPU_FRONTEND_HH
 
+#include <algorithm>
+
 #include "branch/predictor.hh"
 #include "common/ring.hh"
 #include "common/serialize.hh"
@@ -29,8 +31,8 @@ struct FetchedGroup
     InstIdx leader;  ///< static index of the group's first slot
     InstIdx end;     ///< one past the group's last slot
     Cycle readyAt;   ///< cycle the group reaches the issue point
-    bool hasBranch = false;
-    bool predictedTaken = false;
+    bool hasBranch = false;      ///< the group ends in a branch
+    bool predictedTaken = false; ///< that branch's predicted direction
     InstIdx predictedNext; ///< leader the front end fetches next
     branch::Prediction prediction{}; ///< for resolve-time training
 };
@@ -38,10 +40,11 @@ struct FetchedGroup
 /** Front-end statistics. */
 struct FrontEndStats
 {
-    std::uint64_t groupsFetched = 0;
-    std::uint64_t icacheMissCycles = 0;
-    std::uint64_t redirects = 0;
+    std::uint64_t groupsFetched = 0;    ///< groups pushed into the queue
+    std::uint64_t icacheMissCycles = 0; ///< readiness delay from L1I misses
+    std::uint64_t redirects = 0;        ///< redirect() calls
 
+    /** Zeroes every counter. */
     void reset() { *this = FrontEndStats(); }
 };
 
@@ -49,6 +52,11 @@ struct FrontEndStats
 class FrontEnd
 {
   public:
+    /**
+     * Builds a front end fetching @p prog from its first instruction,
+     * through @p mem's L1I, predicting with @p pred and tagging its
+     * fetches @p who. Every reference must outlive it.
+     */
     FrontEnd(const isa::Program &prog, const CoreConfig &cfg,
              branch::DirectionPredictor &pred, memory::Hierarchy &mem,
              memory::Initiator who);
@@ -56,9 +64,34 @@ class FrontEnd
     /** Restarts fetch at @p entry with an empty queue. */
     void reset(InstIdx entry);
 
-    /** Fetches up to one group; call once per cycle. */
+    /**
+     * Fetches up to one group; call once per cycle (a cycle before
+     * nextEvent() may be skipped, since the call would do nothing).
+     */
     void tick(Cycle now);
 
+    /**
+     * The first cycle, from @p now on, at which tick() can fetch or
+     * headReady() can change: @p now when fetch would go ahead (PC
+     * valid, not redirecting, queue not full), else the earlier of the
+     * redirect's resume cycle and the head group's readyAt, whichever
+     * is still ahead, else kNeverCycle. Only pop() and redirect() can
+     * change anything sooner.
+     */
+    Cycle
+    nextEvent(Cycle now) const
+    {
+        Cycle next = kNeverCycle;
+        if (now < _resumeAt)
+            next = _resumeAt;
+        else if (_pcValid && _queue.size() < _cfg.fetchQueueGroups)
+            return now;
+        if (!_queue.empty() && _queue.front().readyAt > now)
+            next = std::min(next, _queue.front().readyAt);
+        return next;
+    }
+
+    /** True if no fetched group is waiting. */
     bool empty() const { return _queue.empty(); }
 
     /** True if the oldest fetched group is available for issue. */
@@ -68,7 +101,9 @@ class FrontEnd
         return !_queue.empty() && _queue.front().readyAt <= now;
     }
 
+    /** The oldest fetched group; the queue must not be empty. */
     const FetchedGroup &head() const { return _queue.front(); }
+    /** Consumes the oldest fetched group. */
     void pop() { _queue.pop_front(); }
 
     /**
@@ -84,14 +119,16 @@ class FrontEnd
     /** True if fetch is suspended recovering from a redirect. */
     bool redirecting(Cycle now) const { return now < _resumeAt; }
 
+    /** The fetch counters. */
     const FrontEndStats &stats() const { return _stats; }
 
     /** The initiator this core's fetches, loads and stores are tagged
      *  with. */
     memory::Initiator initiator() const { return _who; }
 
-    /** Snapshot hooks: queue, fetch PC, resume cycle and stats. */
+    /** Snapshot hook: queue, fetch PC, resume cycle and stats. */
     void save(serial::Writer &w) const;
+    /** Exact inverse of save() on a front end of the same program. */
     void restore(serial::Reader &r);
 
   private:

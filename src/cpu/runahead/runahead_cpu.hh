@@ -46,12 +46,17 @@ class RunaheadCpu : public BaselineCpu
     {
     }
 
+    /**
+     * Steps every cycle: the run-ahead core reports no horizon, since
+     * its stall streak counts the load-stall cycles a skip would jump
+     * (DESIGN.md §9).
+     */
     RunResult
     run(std::uint64_t max_cycles) final
     {
         return runLoop(
             [this](Cycle now, RunResult &res) { return tick(now, res); },
-            max_cycles);
+            [](Cycle now, Cycle) { return now + 1; }, max_cycles);
     }
 
     /** The run-ahead episode counters. */

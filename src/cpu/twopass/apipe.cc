@@ -30,6 +30,7 @@ APipe::anticipableStall(const FetchedGroup &g, Cycle now) const
 void
 APipe::step(Cycle now)
 {
+    _hold = Hold::kIdle;
     if (_ctx.ms.aHalted || !_ctx.fe.headReady(now))
         return;
     if (_ctx.cfg.aPipeThrottlePercent != 0) {
@@ -37,6 +38,9 @@ APipe::step(Cycle now)
         // deferred instructions, pre-execution has stopped paying for
         // the queue space it consumes -- pause and let the B-pipe
         // clear the backlog (Sec. 3.5's suggested investigation).
+        // Both pausing branches leave the queue over a quarter full,
+        // so the pause holds until the B-pipe pops.
+        _hold = Hold::kThrottled;
         if (_throttled) {
             if (_ctx.ms.cq.size() * 4 <= _ctx.ms.cq.capacity()) {
                 _throttled = false;
@@ -55,9 +59,13 @@ APipe::step(Cycle now)
     const FetchedGroup g = _ctx.fe.head();
     if (_ctx.ms.cq.freeSlots() <
         static_cast<std::size_t>(g.end - g.leader)) {
+        _hold = Hold::kCqFull;
         ++_ctx.stats.aStallCqFull;
         return;
     }
+    // An anticipable-latency hold ends by itself when the producer's
+    // result arrives, so it is not held.
+    _hold = Hold::kNone;
     if (_ctx.cfg.aPipeStallsOnAnticipable && anticipableStall(g, now)) {
         ++_ctx.stats.aStallAnticipable;
         return;

@@ -35,6 +35,29 @@ class APipe
      */
     void step(Cycle now);
 
+    /**
+     * The cycle before which step() repeats its last verdict, while
+     * the front end and the B-pipe stay quiet: kNeverCycle when the
+     * last step held its group for a reason only they can lift (halted,
+     * no ready head group, no queue room, the throttle draining), else
+     * 0, a cycle already reached.
+     */
+    Cycle
+    heldUntil() const
+    {
+        return _hold == Hold::kNone ? 0 : kNeverCycle;
+    }
+
+    /** Charges @p cycles repeats of the held verdict to its counter. */
+    void
+    repeatHold(std::uint64_t cycles)
+    {
+        if (_hold == Hold::kCqFull)
+            _ctx.stats.aStallCqFull += cycles;
+        else if (_hold == Hold::kThrottled)
+            _ctx.stats.aStallThrottled += cycles;
+    }
+
     /** Snapshot hooks: the issue-moderation throttle ring. */
     void
     save(serial::Writer &w) const
@@ -58,6 +81,16 @@ class APipe
     void dispatchGroup(const FetchedGroup &g, Cycle now);
 
     PipeContext _ctx;
+
+    /** Why the last step() dispatched nothing, if it is held. */
+    enum class Hold : std::uint8_t
+    {
+        kNone,      ///< dispatched, or a verdict that can change alone
+        kIdle,      ///< halted or no ready head group; counts nothing
+        kCqFull,    ///< counts aStallCqFull
+        kThrottled, ///< counts aStallThrottled
+    };
+    Hold _hold = Hold::kNone;
 
     // ---- A-pipe issue moderation (Sec. 3.5 / future work) ----------
     /** Ring of the last 64 dispatch outcomes (1 = deferred). */

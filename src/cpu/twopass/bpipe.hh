@@ -55,6 +55,19 @@ class BPipe
                              Cycle *until = nullptr) const;
 
     /**
+     * The cycle before which step() repeats its last verdict, while
+     * the A-pipe and the front end stay quiet: the stall memo's ready
+     * cycle, or kNeverCycle when the queue is empty (only a dispatch
+     * or a new front-end head changes that verdict). A verdict that is
+     * not held reports a cycle already reached.
+     */
+    Cycle
+    heldUntil() const
+    {
+        return _ctx.ms.cq.empty() ? kNeverCycle : _stallUntil;
+    }
+
+    /**
      * Drops the stall memo, so the next step() rescans the window.
      * The memo is derived state: a restored model starts without one.
      */

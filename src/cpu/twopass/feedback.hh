@@ -60,6 +60,16 @@ class FeedbackPath
     bool empty() const { return _q.empty(); }
     std::size_t size() const { return _q.size(); }
 
+    /**
+     * The oldest pending update's apply cycle, or kNeverCycle:
+     * apply() does nothing before it.
+     */
+    Cycle
+    nextEvent() const
+    {
+        return _q.empty() ? kNeverCycle : _q.front().applyAt;
+    }
+
     /** Snapshot hooks: the pending update queue, oldest first. */
     void
     save(serial::Writer &w) const

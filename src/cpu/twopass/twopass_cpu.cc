@@ -1,5 +1,7 @@
 #include "cpu/twopass/twopass_cpu.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
 #include "cpu/stats_report.hh"
 
@@ -40,6 +42,24 @@ TwoPassCpu::tick(Cycle now, RunResult &res)
         checkAFileCoherence(now);
     }
     return cls;
+}
+
+Cycle
+TwoPassCpu::skipQuiet(Cycle now, Cycle limit)
+{
+    Cycle until = std::min({limit, _bpipe.heldUntil(), _apipe.heldUntil(),
+                            _feedback.nextEvent()});
+    if (_cfg.selfCheckInterval != 0) {
+        const Cycle every = _cfg.selfCheckInterval;
+        until = std::min(until, (now / every + 1) * every);
+    }
+    if (until > now + 1) {
+        const std::uint64_t skipped = until - now - 1;
+        _apipe.repeatHold(skipped);
+        _cqDepthSum += _ms.cq.size() * skipped;
+        _cqDepthSamples += skipped;
+    }
+    return until;
 }
 
 void

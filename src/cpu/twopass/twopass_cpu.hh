@@ -48,9 +48,13 @@ class TwoPassCpu : public CpuModel
     {
         return runLoop(
             [this](Cycle now, RunResult &res) { return tick(now, res); },
+            [this](Cycle now, Cycle limit) {
+                return skipQuiet(now, limit);
+            },
             max_cycles);
     }
 
+    /** The two-pass counters. */
     const TwoPassStats &stats() const { return _stats; }
 
     void
@@ -81,6 +85,15 @@ class TwoPassCpu : public CpuModel
 
   private:
     CycleClass tick(Cycle now, RunResult &res);
+
+    /**
+     * The run loop's skip hook after a stalled tick at @p now: the
+     * first cycle, at most @p limit, at which a stage can act — the
+     * earliest of the B-pipe's and the A-pipe's held verdicts, the
+     * next feedback update and the next self-check — having charged
+     * the per-cycle counters for every cycle before it.
+     */
+    Cycle skipQuiet(Cycle now, Cycle limit);
 
     /**
      * Debug invariant (cfg.selfCheckInterval): every valid,

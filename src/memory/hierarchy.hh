@@ -13,6 +13,7 @@
 #ifndef FF_MEMORY_HIERARCHY_HH
 #define FF_MEMORY_HIERARCHY_HH
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <limits>
@@ -30,42 +31,43 @@ namespace memory
 /** Which level serviced an access. */
 enum class MemLevel : std::uint8_t
 {
-    kL1 = 0,
-    kL2 = 1,
-    kL3 = 2,
-    kMemory = 3,
+    kL1 = 0,     ///< an L1 (hit, or merged into an L1 fill in flight)
+    kL2 = 1,     ///< the unified L2
+    kL3 = 2,     ///< the unified L3
+    kMemory = 3, ///< main memory
 };
-inline constexpr unsigned kNumMemLevels = 4;
+inline constexpr unsigned kNumMemLevels = 4; ///< MemLevel values
 
+/** Short report name of @p l ("L1", "L2", "L3", "Mem"). */
 const char *memLevelName(MemLevel l);
 
 /** What kind of access is being made. */
 enum class AccessKind : std::uint8_t
 {
-    kInstFetch,
-    kLoad,
-    kStore,
+    kInstFetch, ///< through the L1I
+    kLoad,      ///< through the L1D; an unmerged miss takes an MSHR
+    kStore,     ///< through the L1D, write-allocate, no MSHR
 };
 
 /** Who initiated the access (Figure 7's categories). */
 enum class Initiator : std::uint8_t
 {
-    kBaseline = 0,
-    kApipe = 1,
-    kBpipe = 2,
-    kRunahead = 3,
+    kBaseline = 0, ///< the baseline in-order pipe
+    kApipe = 1,    ///< the two-pass A-pipe (and its front end)
+    kBpipe = 2,    ///< the two-pass B-pipe
+    kRunahead = 3, ///< the run-ahead core, in either mode
 };
-inline constexpr unsigned kNumInitiators = 4;
+inline constexpr unsigned kNumInitiators = 4; ///< Initiator values
 
 /** Configuration of the full hierarchy (defaults per Table 1). */
 struct MemoryConfig
 {
-    CacheGeometry l1i{16 * 1024, 4, 64, 2};
-    CacheGeometry l1d{16 * 1024, 4, 64, 2};
-    CacheGeometry l2{256 * 1024, 8, 128, 5};
-    CacheGeometry l3{3 * 512 * 1024, 12, 128, 15};
-    unsigned memoryLatency = 145;
-    unsigned maxOutstandingLoads = 16;
+    CacheGeometry l1i{16 * 1024, 4, 64, 2};        ///< L1 instructions
+    CacheGeometry l1d{16 * 1024, 4, 64, 2};        ///< L1 data
+    CacheGeometry l2{256 * 1024, 8, 128, 5};       ///< unified L2
+    CacheGeometry l3{3 * 512 * 1024, 12, 128, 15}; ///< unified L3
+    unsigned memoryLatency = 145;     ///< cycles to main memory
+    unsigned maxOutstandingLoads = 16; ///< MSHRs
 
     /**
      * Next-line hardware prefetch degree on the data side: a demand
@@ -87,11 +89,14 @@ struct AccessResult
 /** Per-(initiator, level) access accounting for Figure 7. */
 struct AccessStats
 {
+    /** Accesses per initiator and servicing level. */
     std::array<std::array<std::uint64_t, kNumMemLevels>, kNumInitiators>
         counts{};
+    /** The same accesses' latencies, summed. */
     std::array<std::array<std::uint64_t, kNumMemLevels>, kNumInitiators>
         weightedCycles{};
 
+    /** Counts one access of @p latency cycles. */
     void
     record(Initiator who, MemLevel level, unsigned latency)
     {
@@ -101,6 +106,7 @@ struct AccessStats
         weightedCycles[w][l] += latency;
     }
 
+    /** Zeroes every count and sum. */
     void reset() { counts = {}; weightedCycles = {}; }
 };
 
@@ -121,13 +127,14 @@ void restoreStats(serial::Reader &r, AccessStats &s);
 class Hierarchy
 {
   public:
+    /** Builds cold caches of @p cfg's geometry, nothing in flight. */
     explicit Hierarchy(const MemoryConfig &cfg);
 
     /**
      * Processes fills that complete at or before @p now and releases
-     * MSHRs of completed loads. Called once per simulated cycle by
-     * every core model, so the nothing-due case is two comparisons
-     * against cached minima — no container traversal.
+     * MSHRs of completed loads. Called by every core model on each
+     * cycle its run loop steps, so the nothing-due case is two
+     * comparisons against cached minima — no container traversal.
      */
     void
     tick(Cycle now)
@@ -138,6 +145,21 @@ class Hierarchy
             _outstandingLoads.front() <= now) {
             releaseLoads(now);
         }
+    }
+
+    /**
+     * The first cycle at which tick() has work: the earlier of the
+     * next pending fill and the next MSHR release, or kNeverCycle.
+     * tick(t) does nothing, and outstandingLoads(t) stays the same,
+     * for every t before it while no access is made.
+     */
+    Cycle
+    nextEvent() const
+    {
+        const Cycle release = _outstandingLoads.empty()
+                                  ? kNeverCycle
+                                  : _outstandingLoads.front();
+        return std::min(_nextFillDue, release);
     }
 
     /**
@@ -181,10 +203,11 @@ class Hierarchy
     /** Instruction-fetch accounting, kept separate from Figure 7. */
     const AccessStats &instAccessStats() const { return _instStats; }
 
-    Cache &l1i() { return _l1i; }
-    Cache &l1d() { return _l1d; }
-    Cache &l2() { return _l2; }
-    Cache &l3() { return _l3; }
+    Cache &l1i() { return _l1i; } ///< the L1 instruction cache
+    Cache &l1d() { return _l1d; } ///< the L1 data cache
+    Cache &l2() { return _l2; }   ///< the unified L2
+    Cache &l3() { return _l3; }   ///< the unified L3
+    /** The configuration the hierarchy was built with. */
     const MemoryConfig &config() const { return _cfg; }
 
     /** Clears all tag state, fills and stats. */
@@ -199,6 +222,7 @@ class Hierarchy
      * every statistic.
      */
     void save(serial::Writer &w) const;
+    /** Exact inverse of save() on a hierarchy of the same config. */
     void restore(serial::Reader &r);
 
   private:

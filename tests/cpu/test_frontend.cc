@@ -215,4 +215,27 @@ TEST(FrontEnd, ColdIcacheDelaysReadiness)
     EXPECT_GT(fe.stats().icacheMissCycles, 0u);
 }
 
+TEST(FrontEnd, NextEventIsFetchResumeOrHeadReady)
+{
+    Fixture f;
+    f.cfg.fetchQueueGroups = 2;
+    FrontEnd fe(f.prog, f.cfg, f.pred, f.hier,
+                memory::Initiator::kBaseline);
+    EXPECT_EQ(fe.nextEvent(0), 0u); // would fetch
+    fe.tick(0);
+    EXPECT_EQ(fe.nextEvent(1), 1u); // room for one more group
+    fe.tick(1);
+    // Full queue: quiet until the head reaches the issue point, then
+    // only a pop or a redirect changes anything.
+    const Cycle ready = f.cfg.frontEndDepth;
+    EXPECT_EQ(fe.nextEvent(2), ready);
+    EXPECT_EQ(fe.nextEvent(ready), kNeverCycle);
+    fe.pop();
+    EXPECT_EQ(fe.nextEvent(ready), ready); // room again
+    // Redirecting: quiet until the resume cycle.
+    fe.redirect(1, 20);
+    EXPECT_EQ(fe.nextEvent(ready), 20u);
+    EXPECT_EQ(fe.nextEvent(20), 20u);
+}
+
 } // namespace

@@ -298,6 +298,30 @@ TEST(Hierarchy, RestoreRejectsInFlightListsThatDisagreeWithFills)
     EXPECT_FALSE(restores(missing));
 }
 
+TEST(Hierarchy, NextEventIsTheEarlierOfFillAndMshrRelease)
+{
+    Hierarchy h((MemoryConfig()));
+    EXPECT_EQ(h.nextEvent(), kNeverCycle);
+    // A store miss schedules a fill but takes no MSHR.
+    h.access(AccessKind::kStore, Initiator::kBaseline, 0x1000, 0);
+    EXPECT_EQ(h.nextEvent(), 145u);
+    EXPECT_EQ(h.outstandingLoads(0), 0u);
+    // A load miss takes an MSHR, released with its fill at 155.
+    load(h, 0x2000, 10);
+    EXPECT_EQ(h.nextEvent(), 145u);
+    // A merge into the load's fill adds no event.
+    load(h, 0x2008, 20);
+    EXPECT_EQ(h.nextEvent(), 145u);
+    h.tick(144);
+    EXPECT_EQ(h.nextEvent(), 145u);
+    h.tick(145);
+    EXPECT_EQ(h.nextEvent(), 155u);
+    EXPECT_EQ(h.outstandingLoads(154), 1u);
+    h.tick(155);
+    EXPECT_EQ(h.nextEvent(), kNeverCycle);
+    EXPECT_EQ(h.outstandingLoads(155), 0u);
+}
+
 TEST(Hierarchy, MemLevelNames)
 {
     EXPECT_STREQ(memLevelName(MemLevel::kL1), "L1");

@@ -34,6 +34,7 @@
 #include "analysis/memdep.hh"
 #include "analysis/sarif.hh"
 #include "analysis/stallpred.hh"
+#include "common/cli_number.hh"
 #include "compiler/scheduler.hh"
 #include "isa/assembler.hh"
 #include "workloads/workload.hh"
@@ -222,8 +223,9 @@ main(int argc, char **argv)
             opt.predictStalls = true;
         else if (a.rfind("--predict-stalls=", 0) == 0) {
             opt.predictStalls = true;
-            opt.predictLat =
-                std::atof(a.c_str() + std::strlen("--predict-stalls="));
+            opt.predictLat = cli::parseReal(
+                "--predict-stalls",
+                a.substr(std::strlen("--predict-stalls=")));
             if (opt.predictLat < 1.0)
                 usage(argv[0]);
         } else if (!a.empty() && a[0] == '-')

@@ -34,6 +34,7 @@
 #include "analysis/cfg.hh"
 #include "analysis/memdep.hh"
 #include "analysis/stallpred.hh"
+#include "common/cli_number.hh"
 #include "compiler/scheduler.hh"
 #include "cpu/cycle_classes.hh"
 #include "isa/assembler.hh"
@@ -183,18 +184,18 @@ main(int argc, char **argv)
         if (a == "--workloads")
             do_workloads = true;
         else if (a.rfind("--scale=", 0) == 0)
-            scale = static_cast<unsigned>(
-                std::atoi(a.c_str() + std::strlen("--scale=")));
+            scale = cli::parseNumber<unsigned>(
+                "--scale", a.substr(std::strlen("--scale=")));
         else if (a == "--schedule")
             opt.schedule = true;
         else if (a == "--sched-alias")
             opt.schedAlias = opt.schedule = true;
         else if (a.rfind("--load-latency=", 0) == 0)
-            opt.loadLatency =
-                std::atof(a.c_str() + std::strlen("--load-latency="));
+            opt.loadLatency = cli::parseReal(
+                "--load-latency", a.substr(std::strlen("--load-latency=")));
         else if (a.rfind("--tolerance=", 0) == 0)
-            opt.tolerance =
-                std::atof(a.c_str() + std::strlen("--tolerance="));
+            opt.tolerance = cli::parseReal(
+                "--tolerance", a.substr(std::strlen("--tolerance=")));
         else if (!a.empty() && a[0] == '-')
             usage(argv[0]);
         else

@@ -280,30 +280,22 @@ main(int argc, char **argv)
         } else if (n == "--max-cycles") {
             max_cycles = cli::parseNumber<std::uint64_t>(name, v);
         } else if (n == "--sample") {
-            char *end = nullptr;
-            sopt.intervalCycles = std::strtoull(v.c_str(), &end, 0);
-            if (*end == ':') {
-                const char *detail = end + 1;
-                sopt.detailCycles = std::strtoull(detail, &end, 0);
-                ff_fatal_if(end == detail || sopt.detailCycles == 0 ||
-                                (*end != '\0' && *end != ':'),
-                            "bad --sample value '", v,
-                            "' (expected INTERVAL[:DETAIL[:WARMUP]])");
-                if (*end == ':') {
-                    const char *warm = end + 1;
-                    sopt.warmupCycles = std::strtoull(warm, &end, 0);
-                    ff_fatal_if(end == warm || *end != '\0' ||
-                                    sopt.warmupCycles == 0,
-                                "bad --sample value '", v,
-                                "' (expected "
-                                "INTERVAL[:DETAIL[:WARMUP]])");
-                }
-            } else {
-                ff_fatal_if(*end != '\0', "bad --sample value '", v,
-                            "' (expected INTERVAL[:DETAIL[:WARMUP]])");
+            // INTERVAL[:DETAIL[:WARMUP]], each field a positive integer.
+            std::size_t start = 0;
+            for (std::uint64_t *field :
+                 {&sopt.intervalCycles, &sopt.detailCycles,
+                  &sopt.warmupCycles}) {
+                const std::size_t colon = v.find(':', start);
+                *field = cli::parseNumber<std::uint64_t>(
+                    name, v.substr(start, colon - start));
+                ff_fatal_if(*field == 0, "bad --sample value '", v,
+                            "' (every field must be positive)");
+                start = colon == std::string::npos ? colon : colon + 1;
+                if (start == std::string::npos)
+                    break;
             }
-            ff_fatal_if(sopt.intervalCycles == 0,
-                        "--sample needs a positive interval");
+            ff_fatal_if(start != std::string::npos, "bad --sample value '",
+                        v, "' (expected INTERVAL[:DETAIL[:WARMUP]])");
         } else if (n == "--cq") {
             cfg.couplingQueueSize = num();
         } else if (n == "--alat") {
