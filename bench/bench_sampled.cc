@@ -27,7 +27,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -40,44 +39,6 @@
 #include "workloads/workload.hh"
 
 using namespace ff;
-
-namespace
-{
-
-sim::SampledOptions
-parseSampleSpec(const std::string &spec)
-{
-    // INTERVAL[:DETAIL[:WARMUP]], each field one unsigned integer.
-    std::vector<std::uint64_t> fields;
-    bool ok = true;
-    for (std::size_t start = 0;;) {
-        const std::size_t colon = spec.find(':', start);
-        std::uint64_t v = 0;
-        ok = cli::tryParseNumber(spec.substr(start, colon - start), v) &&
-             ok;
-        fields.push_back(v);
-        if (colon == std::string::npos)
-            break;
-        start = colon + 1;
-    }
-    ok = ok && fields.size() <= 3 && fields[0] != 0;
-    if (!ok) {
-        std::fprintf(stderr,
-                     "bad --sample value '%s' (expected "
-                     "INTERVAL[:DETAIL[:WARMUP]])\n",
-                     spec.c_str());
-        std::exit(1);
-    }
-    sim::SampledOptions o;
-    o.intervalCycles = fields[0];
-    if (fields.size() > 1)
-        o.detailCycles = fields[1];
-    if (fields.size() > 2)
-        o.warmupCycles = fields[2];
-    return o;
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
@@ -96,7 +57,7 @@ main(int argc, char **argv)
                 json_path = argv[++i];
             else if (std::strcmp(argv[i], "--sample") == 0 &&
                      i + 1 < argc)
-                sopt = parseSampleSpec(argv[++i]);
+                sopt = sim::parseSampleSpec("--sample", argv[++i]);
             else if (std::strcmp(argv[i], "--max-err") == 0 &&
                      i + 1 < argc)
                 max_err_pct = cli::parseReal("--max-err", argv[++i]);

@@ -3,7 +3,6 @@
 #include <array>
 
 #include "cpu/exec.hh"
-#include "cpu/stats_report.hh"
 
 namespace ff
 {
@@ -189,27 +188,12 @@ BaselineCpu::tryIssue(Cycle now, RunResult &res)
     return CycleClass::kUnstalled;
 }
 
-std::string
-BaselineCpu::statsReport() const
-{
-    return commonStatsReport(_acct, _pred->stats(),
-                             _hier.accessStats()) +
-           statLines("baseline",
-                     {{"loads_issued", _stats.loadsIssued},
-                      {"stores_issued", _stats.storesIssued},
-                      {"branches_retired", _stats.branchesRetired},
-                      {"mispredicts", _stats.mispredicts}});
-}
-
 void
 BaselineCpu::saveModelState(serial::Writer &w) const
 {
     _ms.regs.save(w);
     _ms.sb.save(w);
-    w.u64(_stats.loadsIssued);
-    w.u64(_stats.storesIssued);
-    w.u64(_stats.branchesRetired);
-    w.u64(_stats.mispredicts);
+    saveStats(w, _stats);
 }
 
 void
@@ -217,10 +201,7 @@ BaselineCpu::restoreModelState(serial::Reader &r)
 {
     _ms.regs.restore(r);
     _ms.sb.restore(r);
-    _stats.loadsIssued = r.u64();
-    _stats.storesIssued = r.u64();
-    _stats.branchesRetired = r.u64();
-    _stats.mispredicts = r.u64();
+    restoreStats(r, _stats);
 }
 
 } // namespace cpu

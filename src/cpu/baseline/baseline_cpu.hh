@@ -23,15 +23,6 @@ namespace ff
 namespace cpu
 {
 
-/** Counters specific to the baseline model. */
-struct BaselineStats
-{
-    std::uint64_t loadsIssued = 0;     ///< predicated-true loads issued
-    std::uint64_t storesIssued = 0;    ///< predicated-true stores issued
-    std::uint64_t branchesRetired = 0; ///< branches resolved at issue
-    std::uint64_t mispredicts = 0;     ///< of those, mispredicted
-};
-
 /** In-order, stall-on-use EPIC pipeline. */
 class BaselineCpu : public CpuModel
 {
@@ -58,7 +49,11 @@ class BaselineCpu : public CpuModel
     /** The baseline issue counters. */
     const BaselineStats &stats() const { return _stats; }
 
-    std::string statsReport() const override;
+    void
+    collectStats(ModelStats &out) const override
+    {
+        out.baseline = _stats;
+    }
 
   protected:
     /**

@@ -5,15 +5,14 @@
  * the core knowing who is listening. CpuModel owns the attachment
  * point; models and their stage units fire the hooks at the
  * architecturally meaningful moments. It is the one event path out
- * of a core: the profile, telemetry and pipeview observers are its
- * clients, and further observability plugs in here without touching
+ * of a core: sim::MetricsSession is the observer a metered run
+ * attaches, and it calls its profile, telemetry and pipeview clients
+ * directly; further observability plugs in here without touching
  * model code.
  */
 
 #ifndef FF_CPU_CORE_OBSERVER_HH
 #define FF_CPU_CORE_OBSERVER_HH
-
-#include <vector>
 
 #include "common/types.hh"
 #include "cpu/cycle_classes.hh"
@@ -132,79 +131,6 @@ class CoreObserver
         (void)id;
         (void)regSlot;
     }
-};
-
-/**
- * Fans every observer event out to a fixed set of clients, so a run
- * can attach a tracer and a profiler and a telemetry sampler through
- * the single CpuModel attachment point. Pointers must outlive the
- * fanout; nullptr entries are skipped at add().
- */
-class FanoutObserver : public CoreObserver
-{
-  public:
-    /** Registers @p obs (ignored when null). */
-    void
-    add(CoreObserver *obs)
-    {
-        if (obs != nullptr)
-            _clients.push_back(obs);
-    }
-
-    bool empty() const { return _clients.empty(); }
-
-    void
-    onCycle(Cycle now, CycleClass cls) override
-    {
-        for (CoreObserver *o : _clients)
-            o->onCycle(now, cls);
-    }
-
-    void
-    onGroupRetire(Cycle now, InstIdx leader, unsigned slots) override
-    {
-        for (CoreObserver *o : _clients)
-            o->onGroupRetire(now, leader, slots);
-    }
-
-    void
-    onDefer(Cycle now, InstIdx idx, DynId id,
-            DeferReason reason) override
-    {
-        for (CoreObserver *o : _clients)
-            o->onDefer(now, idx, id, reason);
-    }
-
-    void
-    onFlush(Cycle now, FlushKind kind, InstIdx target) override
-    {
-        for (CoreObserver *o : _clients)
-            o->onFlush(now, kind, target);
-    }
-
-    void
-    onDispatch(Cycle now, InstIdx idx, DynId id) override
-    {
-        for (CoreObserver *o : _clients)
-            o->onDispatch(now, idx, id);
-    }
-
-    void
-    onReplay(Cycle now, InstIdx idx, DynId id) override
-    {
-        for (CoreObserver *o : _clients)
-            o->onReplay(now, idx, id);
-    }
-
-    void
-    onFeedbackApply(Cycle now, DynId id, unsigned regSlot) override
-    {
-        for (CoreObserver *o : _clients)
-            o->onFeedbackApply(now, id, regSlot);
-    }
-
-  private:
-    std::vector<CoreObserver *> _clients;
 };
 
 } // namespace cpu

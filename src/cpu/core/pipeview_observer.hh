@@ -62,7 +62,7 @@ struct PipeEvent
  * state is private to the observer; the purity suite pins that
  * attaching one leaves every simulation output bit-identical.
  */
-class PipeViewObserver : public CoreObserver
+class PipeViewObserver final : public CoreObserver
 {
   public:
     /** Default event cap: ~4M events, ~96 MB, minutes of trace. */

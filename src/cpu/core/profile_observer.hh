@@ -48,7 +48,7 @@ struct InstProfile
 };
 
 /** Attributes observer events to static instruction indices. */
-class ProfileObserver : public CoreObserver
+class ProfileObserver final : public CoreObserver
 {
   public:
     /** @p prog must outlive the observer (indices size the table). */

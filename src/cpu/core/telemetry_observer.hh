@@ -24,7 +24,7 @@ namespace cpu
 class CpuModel;
 
 /** Samples a core's occupancy into a metrics registry. */
-class TelemetryObserver : public CoreObserver
+class TelemetryObserver final : public CoreObserver
 {
   public:
     /** Default epoch length of the occupancy time series. */

@@ -21,7 +21,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
-#include <string>
 
 #include "branch/predictor.hh"
 #include "common/logging.hh"
@@ -160,17 +159,12 @@ class CpuModel
     const branch::DirectionPredictor &predictor() const { return *_pred; }
 
     /**
-     * Fills the sections of @p out this model owns (two-pass and
-     * run-ahead counters); models without extra statistics leave it
-     * untouched. Replaces per-model dynamic_casts in the harness.
+     * Fills the sections of @p out this model owns (the baseline,
+     * two-pass or run-ahead counters), leaving the rest untouched.
+     * The one way a model's counters leave it: sim::collectOutcome()
+     * gathers them and sim::statsReport() renders the outcome.
      */
-    virtual void collectStats(ModelStats &out) const { (void)out; }
-
-    /**
-     * Renders every statistic the model keeps as "group.stat value"
-     * lines (gem5-style), for drivers and debugging.
-     */
-    virtual std::string statsReport() const = 0;
+    virtual void collectStats(ModelStats &out) const = 0;
 
     /**
      * Read-only occupancy of the core's structures as of cycle

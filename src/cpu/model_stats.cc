@@ -46,6 +46,8 @@ saveStats(serial::Writer &w, const TwoPassStats &s)
     w.u64(s.feedbackApplied);
     w.u64(s.feedbackDropped);
     w.u64(s.registersRepaired);
+    w.u64(s.cqDepthSum);
+    w.u64(s.cqDepthSamples);
 }
 
 void
@@ -74,6 +76,26 @@ restoreStats(serial::Reader &r, TwoPassStats &s)
     s.feedbackApplied = r.u64();
     s.feedbackDropped = r.u64();
     s.registersRepaired = r.u64();
+    s.cqDepthSum = r.u64();
+    s.cqDepthSamples = r.u64();
+}
+
+void
+saveStats(serial::Writer &w, const BaselineStats &s)
+{
+    w.u64(s.loadsIssued);
+    w.u64(s.storesIssued);
+    w.u64(s.branchesRetired);
+    w.u64(s.mispredicts);
+}
+
+void
+restoreStats(serial::Reader &r, BaselineStats &s)
+{
+    s.loadsIssued = r.u64();
+    s.storesIssued = r.u64();
+    s.branchesRetired = r.u64();
+    s.mispredicts = r.u64();
 }
 
 void

@@ -3,7 +3,9 @@
  * Model-specific statistic bundles, and the ModelStats sink through
  * which the harness collects them. These live below cpu.hh so the
  * abstract CpuModel can expose a virtual collectStats() hook instead
- * of forcing callers to dynamic_cast to each concrete model.
+ * of forcing callers to dynamic_cast to each concrete model. They are
+ * a model's one way out for its counters: sim::statsReport() renders
+ * the collected outcome, never a live model.
  */
 
 #ifndef FF_CPU_MODEL_STATS_HH
@@ -42,7 +44,7 @@ enum class DeferReason : std::uint8_t
 inline constexpr unsigned kNumDeferReasons = 7;
 
 /**
- * Stable snake_case name of @p r, used by the statsReport dump, the
+ * Stable snake_case name of @p r, used by the sim::statsReport dump, the
  * profile tables and the JSON metrics export (and pinned by the
  * name-table tests so a new reason cannot ship nameless).
  */
@@ -82,6 +84,8 @@ struct TwoPassStats
     std::uint64_t feedbackApplied = 0;
     std::uint64_t feedbackDropped = 0;
     std::uint64_t registersRepaired = 0; ///< A-file repair volume
+    std::uint64_t cqDepthSum = 0;      ///< CQ occupancy summed per cycle
+    std::uint64_t cqDepthSamples = 0;  ///< cycles in cqDepthSum
 };
 
 /**
@@ -92,6 +96,24 @@ void saveStats(serial::Writer &w, const TwoPassStats &s);
 
 /** Reads back what saveStats() wrote for a TwoPassStats. */
 void restoreStats(serial::Reader &r, TwoPassStats &s);
+
+/** Counters of the in-order issue stage (baseline and run-ahead). */
+struct BaselineStats
+{
+    std::uint64_t loadsIssued = 0;     ///< predicated-true loads issued
+    std::uint64_t storesIssued = 0;    ///< predicated-true stores issued
+    std::uint64_t branchesRetired = 0; ///< branches resolved at issue
+    std::uint64_t mispredicts = 0;     ///< of those, mispredicted
+};
+
+/**
+ * Writes every BaselineStats counter to @p w in declaration order:
+ * the one encoding shared by model snapshots and result-cache entries.
+ */
+void saveStats(serial::Writer &w, const BaselineStats &s);
+
+/** Reads back what saveStats() wrote for a BaselineStats. */
+void restoreStats(serial::Reader &r, BaselineStats &s);
 
 /** Run-ahead-specific counters. */
 struct RunaheadStats
@@ -119,6 +141,7 @@ void restoreStats(serial::Reader &r, RunaheadStats &s);
  */
 struct ModelStats
 {
+    BaselineStats baseline;
     TwoPassStats twopass;
     memory::AlatStats alat;
     RunaheadStats runahead;

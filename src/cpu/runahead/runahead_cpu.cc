@@ -1,7 +1,6 @@
 #include "cpu/runahead/runahead_cpu.hh"
 
 #include "cpu/exec.hh"
-#include "cpu/stats_report.hh"
 
 namespace ff
 {
@@ -195,19 +194,6 @@ RunaheadCpu::runaheadStep(Cycle now)
         if (ev.writesDst2)
             mark_valid(in.dst2, ev.dst2Val);
     }
-}
-
-std::string
-RunaheadCpu::statsReport() const
-{
-    return commonStatsReport(_acct, _pred->stats(),
-                             _hier.accessStats()) +
-           statLines("runahead",
-                     {{"episodes", _raStats.episodes},
-                      {"runahead_cycles", _raStats.runaheadCycles},
-                      {"runahead_loads", _raStats.runaheadLoads},
-                      {"runahead_insts", _raStats.runaheadInsts},
-                      {"inv_results", _raStats.invResults}});
 }
 
 void

@@ -62,13 +62,13 @@ class RunaheadCpu : public BaselineCpu
     /** The run-ahead episode counters. */
     const RunaheadStats &runaheadStats() const { return _raStats; }
 
+    /** The baseline issue counters, then the run-ahead ones. */
     void
     collectStats(ModelStats &out) const override
     {
+        BaselineCpu::collectStats(out);
         out.runahead = _raStats;
     }
-
-    std::string statsReport() const override;
 
   protected:
     void saveModelState(serial::Writer &w) const override;

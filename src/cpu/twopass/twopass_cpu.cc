@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/logging.hh"
-#include "cpu/stats_report.hh"
 
 namespace ff
 {
@@ -35,8 +34,8 @@ TwoPassCpu::tick(Cycle now, RunResult &res)
     const CycleClass cls = _bpipe.step(now, res);
     if (!res.halted)
         _apipe.step(now);
-    _cqDepthSum += _ms.cq.size();
-    ++_cqDepthSamples;
+    _stats.cqDepthSum += _ms.cq.size();
+    ++_stats.cqDepthSamples;
     if (_cfg.selfCheckInterval != 0 &&
         now % _cfg.selfCheckInterval == 0) {
         checkAFileCoherence(now);
@@ -56,8 +55,8 @@ TwoPassCpu::skipQuiet(Cycle now, Cycle limit)
     if (until > now + 1) {
         const std::uint64_t skipped = until - now - 1;
         _apipe.repeatHold(skipped);
-        _cqDepthSum += _ms.cq.size() * skipped;
-        _cqDepthSamples += skipped;
+        _stats.cqDepthSum += _ms.cq.size() * skipped;
+        _stats.cqDepthSamples += skipped;
     }
     return until;
 }
@@ -85,60 +84,6 @@ TwoPassCpu::checkAFileCoherence(Cycle now) const
     }
 }
 
-std::string
-TwoPassCpu::statsReport() const
-{
-    std::map<std::string, std::uint64_t> g = {
-        {"dispatched", _stats.dispatched},
-        {"pre_executed", _stats.preExecuted},
-        {"deferred", _stats.deferred},
-        {"loads_in_a", _stats.loadsInA},
-        {"loads_in_b", _stats.loadsInB},
-        {"stores_in_a", _stats.storesInA},
-        {"stores_in_b", _stats.storesInB},
-        {"loads_past_deferred_store", _stats.loadsPastDeferredStore},
-        {"store_conflict_flushes", _stats.storeConflictFlushes},
-        {"store_forwardings", _stats.storeForwardings},
-        {"branches_resolved_a", _stats.branchesResolvedInA},
-        {"branches_resolved_b", _stats.branchesResolvedInB},
-        {"adet_mispredicts", _stats.aDetMispredicts},
-        {"bdet_mispredicts", _stats.bDetMispredicts},
-        {"a_stall_cq_full", _stats.aStallCqFull},
-        {"a_stall_anticipable", _stats.aStallAnticipable},
-        {"a_stall_throttled", _stats.aStallThrottled},
-        {"regrouped_groups", _stats.regroupedGroups},
-        {"feedback_applied", _stats.feedbackApplied},
-        {"feedback_dropped", _stats.feedbackDropped},
-        {"registers_repaired", _stats.registersRepaired},
-    };
-    for (unsigned r = 1; r < kNumDeferReasons; ++r) {
-        g[std::string("deferred.") +
-          deferReasonName(static_cast<DeferReason>(r))] =
-            _stats.deferredByReason[r];
-    }
-
-    const memory::AlatStats &a = _alat.stats();
-    const double mean_depth =
-        _cqDepthSamples == 0
-            ? 0.0
-            : static_cast<double>(_cqDepthSum) /
-                  static_cast<double>(_cqDepthSamples);
-
-    return commonStatsReport(_acct, _pred->stats(),
-                             _hier.accessStats()) +
-           statLines("twopass", g) +
-           statLines("alat",
-                     {{"allocations", a.allocations},
-                      {"store_invalidations", a.storeInvalidations},
-                      {"capacity_evictions", a.capacityEvictions},
-                      {"checks_passed", a.checksPassed},
-                      {"checks_failed", a.checksFailed}}) +
-           statLines("cq",
-                     {{"mean_depth_x1000",
-                       static_cast<std::uint64_t>(mean_depth * 1000.0)},
-                      {"samples", _cqDepthSamples}});
-}
-
 void
 TwoPassCpu::saveModelState(serial::Writer &w) const
 {
@@ -160,8 +105,6 @@ TwoPassCpu::saveModelState(serial::Writer &w) const
     saveStats(w, _stats);
     _feedback.save(w);
     _apipe.save(w);
-    w.u64(_cqDepthSum);
-    w.u64(_cqDepthSamples);
 }
 
 void
@@ -185,8 +128,6 @@ TwoPassCpu::restoreModelState(serial::Reader &r)
     _feedback.restore(r);
     _apipe.restore(r);
     _bpipe.clearStallMemo();
-    _cqDepthSum = r.u64();
-    _cqDepthSamples = r.u64();
 }
 
 } // namespace cpu

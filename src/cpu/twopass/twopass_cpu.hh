@@ -64,8 +64,6 @@ class TwoPassCpu : public CpuModel
         out.alat = _alat.stats();
     }
 
-    std::string statsReport() const override;
-
     /** Adds the two-pass structures to the common occupancy sample. */
     OccupancySample
     occupancy(Cycle now) const override
@@ -112,11 +110,6 @@ class TwoPassCpu : public CpuModel
     FeedbackPath _feedback;
     APipe _apipe;
     BPipe _bpipe;
-
-    /** Per-cycle coupling-queue occupancy: its sum and the cycle
-     *  count, for the mean depth statsReport() prints. */
-    std::uint64_t _cqDepthSum = 0;
-    std::uint64_t _cqDepthSamples = 0;
 };
 
 } // namespace cpu

@@ -1,5 +1,6 @@
 #include "sim/harness.hh"
 
+#include <map>
 #include <memory>
 #include <mutex>
 #include <unordered_set>
@@ -41,6 +42,24 @@ verifyKey(const isa::Program &prog, const isa::GroupLimits &limits)
         h ^= h >> 33;
     }
     return h;
+}
+
+/** Renders @p stats as one "group.stat value" line each, in the
+ *  map's (sorted) order. */
+std::string
+statLines(const char *group,
+          const std::map<std::string, std::uint64_t> &stats)
+{
+    std::string out;
+    for (const auto &[name, value] : stats) {
+        out += group;
+        out += '.';
+        out += name;
+        out += ' ';
+        out += std::to_string(value);
+        out += '\n';
+    }
+    return out;
 }
 
 } // namespace
@@ -91,10 +110,104 @@ collectOutcome(cpu::CpuModel &model, CpuKind kind,
 
     cpu::ModelStats ms;
     model.collectStats(ms);
+    out.baseline = ms.baseline;
     out.twopass = ms.twopass;
     out.alat = ms.alat;
     out.runahead = ms.runahead;
     return out;
+}
+
+std::string
+statsReport(const SimOutcome &o)
+{
+    std::map<std::string, std::uint64_t> cyc;
+    for (unsigned i = 0; i < cpu::kNumCycleClasses; ++i) {
+        cyc[cpu::cycleClassName(static_cast<cpu::CycleClass>(i))] =
+            o.cycles.counts[i];
+    }
+    cyc["total"] = o.cycles.total();
+    std::map<std::string, std::uint64_t> mem;
+    static const char *kWho[] = {"base", "apipe", "bpipe", "runahead"};
+    for (unsigned w = 0; w < memory::kNumInitiators; ++w) {
+        for (unsigned l = 0; l < memory::kNumMemLevels; ++l) {
+            if (o.accesses.counts[w][l] == 0)
+                continue;
+            const std::string base =
+                std::string(kWho[w]) + "." +
+                memory::memLevelName(static_cast<memory::MemLevel>(l));
+            mem[base + ".accesses"] = o.accesses.counts[w][l];
+            mem[base + ".cycles"] = o.accesses.weightedCycles[w][l];
+        }
+    }
+    std::string text =
+        statLines("cycles", cyc) +
+        statLines("branch", {{"lookups", o.branches.lookups},
+                             {"mispredicts", o.branches.mispredicts}}) +
+        statLines("mem", mem);
+
+    if (o.kind == CpuKind::kBaseline) {
+        const cpu::BaselineStats &b = o.baseline;
+        return text + statLines("baseline",
+                                {{"loads_issued", b.loadsIssued},
+                                 {"stores_issued", b.storesIssued},
+                                 {"branches_retired", b.branchesRetired},
+                                 {"mispredicts", b.mispredicts}});
+    }
+    if (o.kind == CpuKind::kRunahead) {
+        const cpu::RunaheadStats &r = o.runahead;
+        return text + statLines("runahead",
+                                {{"episodes", r.episodes},
+                                 {"runahead_cycles", r.runaheadCycles},
+                                 {"runahead_loads", r.runaheadLoads},
+                                 {"runahead_insts", r.runaheadInsts},
+                                 {"inv_results", r.invResults}});
+    }
+    const cpu::TwoPassStats &t = o.twopass;
+    std::map<std::string, std::uint64_t> g = {
+        {"dispatched", t.dispatched},
+        {"pre_executed", t.preExecuted},
+        {"deferred", t.deferred},
+        {"loads_in_a", t.loadsInA},
+        {"loads_in_b", t.loadsInB},
+        {"stores_in_a", t.storesInA},
+        {"stores_in_b", t.storesInB},
+        {"loads_past_deferred_store", t.loadsPastDeferredStore},
+        {"store_conflict_flushes", t.storeConflictFlushes},
+        {"store_forwardings", t.storeForwardings},
+        {"branches_resolved_a", t.branchesResolvedInA},
+        {"branches_resolved_b", t.branchesResolvedInB},
+        {"adet_mispredicts", t.aDetMispredicts},
+        {"bdet_mispredicts", t.bDetMispredicts},
+        {"a_stall_cq_full", t.aStallCqFull},
+        {"a_stall_anticipable", t.aStallAnticipable},
+        {"a_stall_throttled", t.aStallThrottled},
+        {"regrouped_groups", t.regroupedGroups},
+        {"feedback_applied", t.feedbackApplied},
+        {"feedback_dropped", t.feedbackDropped},
+        {"registers_repaired", t.registersRepaired},
+    };
+    for (unsigned r = 1; r < cpu::kNumDeferReasons; ++r) {
+        g[std::string("deferred.") +
+          cpu::deferReasonName(static_cast<cpu::DeferReason>(r))] =
+            t.deferredByReason[r];
+    }
+    const memory::AlatStats &a = o.alat;
+    const double mean_depth =
+        t.cqDepthSamples == 0
+            ? 0.0
+            : static_cast<double>(t.cqDepthSum) /
+                  static_cast<double>(t.cqDepthSamples);
+    return text + statLines("twopass", g) +
+           statLines("alat",
+                     {{"allocations", a.allocations},
+                      {"store_invalidations", a.storeInvalidations},
+                      {"capacity_evictions", a.capacityEvictions},
+                      {"checks_passed", a.checksPassed},
+                      {"checks_failed", a.checksFailed}}) +
+           statLines("cq",
+                     {{"mean_depth_x1000",
+                       static_cast<std::uint64_t>(mean_depth * 1000.0)},
+                      {"samples", t.cqDepthSamples}});
 }
 
 SimOutcome

@@ -12,9 +12,8 @@
 #define FF_SIM_HARNESS_HH
 
 #include <cstdint>
-#include <string>
-
 #include <memory>
+#include <string>
 
 #include "cpu/core/functional_result.hh"
 #include "cpu/core/model_factory.hh"
@@ -45,6 +44,7 @@ struct SimOutcome
     cpu::CycleAccounting cycles;
     memory::AccessStats accesses;
     branch::PredictorStats branches;
+    cpu::BaselineStats baseline;     ///< base and run-ahead kinds only
     cpu::TwoPassStats twopass;       ///< two-pass kinds only
     memory::AlatStats alat;          ///< two-pass kinds only
     cpu::RunaheadStats runahead;     ///< run-ahead kind only
@@ -97,11 +97,21 @@ void verifyProgram(const isa::Program &prog,
 /**
  * Harvests the aggregate outcome fields (accounting, access and
  * model statistics, fingerprints) from a completed model run.
- * Shared by simulate() and drivers (ffvm) that construct models
- * directly but still want the standard outcome/export shape.
+ * Shared by simulate() and the tests and benches that construct
+ * models directly but still want the standard outcome shape.
  */
 SimOutcome collectOutcome(cpu::CpuModel &model, CpuKind kind,
                           const cpu::RunResult &run);
+
+/**
+ * Renders @p outcome as gem5-style "group.stat value" lines, each
+ * group in sorted order: the cycles, branch and mem groups every
+ * kind shares, then the sections @p outcome's kind owns (baseline for
+ * base; twopass, alat and cq for 2P and 2Pre; runahead for
+ * run-ahead). The ffvm --stats dump; a cached outcome renders the
+ * same text as the run that stored it.
+ */
+std::string statsReport(const SimOutcome &outcome);
 
 /** Functional-reference outcome for equivalence checks. */
 struct FunctionalOutcome

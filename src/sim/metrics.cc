@@ -25,22 +25,18 @@ MetricsSession::attach(cpu::CpuModel &model)
     if (!_opt.enabled())
         return;
     _model = &model;
-    if (_opt.profile) {
+    if (_opt.profile)
         _profile = std::make_unique<cpu::ProfileObserver>(_prog);
-        _fanout.add(_profile.get());
-    }
     if (_opt.telemetry) {
         _telemetry = std::make_unique<cpu::TelemetryObserver>(
             model, _cfg.couplingQueueSize,
             _cfg.mem.maxOutstandingLoads, _opt.epochCycles);
-        _fanout.add(_telemetry.get());
     }
     if (_opt.pipeview) {
         _pipeview = std::make_unique<cpu::PipeViewObserver>(
             _opt.pipeviewMaxEvents);
-        _fanout.add(_pipeview.get());
     }
-    model.setObserver(&_fanout);
+    model.setObserver(this);
 }
 
 MetricsRecord

@@ -1,8 +1,9 @@
 /**
  * @file
  * The machine-readable metrics path of the experiment harness: a
- * MetricsSession attaches the profiling/telemetry observer clients to
- * a timed model through the CoreObserver seam, harvests them into a
+ * MetricsSession attaches itself to a timed model as its one
+ * CoreObserver, calls the profiling/telemetry/pipeview clients it
+ * built directly on every event, harvests them into a
  * versioned MetricsRecord after the run, and the export helpers
  * render the record — together with the run's aggregate statistics
  * and configuration — as a JSON document matching
@@ -90,9 +91,11 @@ struct MetricsRecord
 
 /**
  * Owns the observer clients for one run: construct, attach() to the
- * model, run the model, then harvest().
+ * model, run the model, then harvest(). The session is the model's
+ * one observer: each hook calls every client it built, in a fixed
+ * order (profile, telemetry, pipeview).
  */
-class MetricsSession
+class MetricsSession final : public cpu::CoreObserver
 {
   public:
     /** @p prog and @p cfg must outlive the session. */
@@ -103,24 +106,85 @@ class MetricsSession
     MetricsSession(const MetricsSession &) = delete;
     MetricsSession &operator=(const MetricsSession &) = delete;
 
-    /** Builds the requested observers and attaches them to @p model
-     *  (no-op when no metrics are requested). */
+    /** Builds the requested clients and attaches the session to
+     *  @p model (no-op when no metrics are requested). */
     void attach(cpu::CpuModel &model);
 
-    /** True if attach() attached observers. */
+    /** True if attach() attached the session. */
     bool attached() const { return _model != nullptr; }
 
     /** Closes the collection and moves the data into a record. */
     MetricsRecord harvest();
 
+    void
+    onCycle(Cycle now, cpu::CycleClass cls) override
+    {
+        forEachClient([&](auto &c) { c.onCycle(now, cls); });
+    }
+
+    void
+    onGroupRetire(Cycle now, InstIdx leader, unsigned slots) override
+    {
+        forEachClient([&](auto &c) { c.onGroupRetire(now, leader, slots); });
+    }
+
+    void
+    onDefer(Cycle now, InstIdx idx, DynId id,
+            cpu::DeferReason reason) override
+    {
+        forEachClient([&](auto &c) { c.onDefer(now, idx, id, reason); });
+    }
+
+    void
+    onFlush(Cycle now, cpu::FlushKind kind, InstIdx target) override
+    {
+        forEachClient([&](auto &c) { c.onFlush(now, kind, target); });
+    }
+
+    void
+    onDispatch(Cycle now, InstIdx idx, DynId id) override
+    {
+        forEachClient([&](auto &c) { c.onDispatch(now, idx, id); });
+    }
+
+    void
+    onReplay(Cycle now, InstIdx idx, DynId id) override
+    {
+        forEachClient([&](auto &c) { c.onReplay(now, idx, id); });
+    }
+
+    void
+    onFeedbackApply(Cycle now, DynId id, unsigned regSlot) override
+    {
+        forEachClient(
+            [&](auto &c) { c.onFeedbackApply(now, id, regSlot); });
+    }
+
   private:
+    /**
+     * Calls @p fn on each client the session built, profile first,
+     * then telemetry, then pipeview. The clients are final classes,
+     * so every hook @p fn calls binds statically, and one a client
+     * does not override inlines to the base's empty body.
+     */
+    template <typename Fn>
+    void
+    forEachClient(Fn &&fn)
+    {
+        if (_profile != nullptr)
+            fn(*_profile);
+        if (_telemetry != nullptr)
+            fn(*_telemetry);
+        if (_pipeview != nullptr)
+            fn(*_pipeview);
+    }
+
     const isa::Program &_prog;
     const cpu::CoreConfig &_cfg;
     MetricsOptions _opt;
     std::unique_ptr<cpu::ProfileObserver> _profile;
     std::unique_ptr<cpu::TelemetryObserver> _telemetry;
     std::unique_ptr<cpu::PipeViewObserver> _pipeview;
-    cpu::FanoutObserver _fanout;
     cpu::CpuModel *_model = nullptr;
 };
 

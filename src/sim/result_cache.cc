@@ -80,6 +80,7 @@ encodeOutcome(serial::Writer &w, const SimOutcome &o)
         w.u64(c);
     memory::saveStats(w, o.accesses);
     branch::saveStats(w, o.branches);
+    cpu::saveStats(w, o.baseline);
     cpu::saveStats(w, o.twopass);
     memory::saveStats(w, o.alat);
     cpu::saveStats(w, o.runahead);
@@ -125,6 +126,7 @@ decodeOutcome(serial::Reader &r, SimOutcome &o)
         c = r.u64();
     memory::restoreStats(r, o.accesses);
     branch::restoreStats(r, o.branches);
+    cpu::restoreStats(r, o.baseline);
     cpu::restoreStats(r, o.twopass);
     memory::restoreStats(r, o.alat);
     cpu::restoreStats(r, o.runahead);

@@ -41,9 +41,11 @@ namespace sim
  * recipe changes; old entries then age out as unreachable keys.
  * v2: sampling parameters joined the key and entries grew an
  * optional SampledEstimate tail. v3: each entry ends with a 64-bit
- * SHA-256 digest of its other bytes, checked before decoding.
+ * SHA-256 digest of its other bytes, checked before decoding. v4:
+ * entries carry the baseline issue counters and the two-pass CQ
+ * depth sums, so sim::statsReport() renders a cached outcome whole.
  */
-inline constexpr std::uint32_t kResultCacheVersion = 3;
+inline constexpr std::uint32_t kResultCacheVersion = 4;
 
 /** Lifetime counters, for benches and the cache tests. */
 struct ResultCacheStats

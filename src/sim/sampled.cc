@@ -3,6 +3,7 @@
 #include <cmath>
 #include <memory>
 
+#include "common/cli_number.hh"
 #include "common/engine_trace.hh"
 #include "common/logging.hh"
 #include "common/random.hh"
@@ -38,6 +39,26 @@ SampledOptions::normalized() const
     if (n.maxIntervals < 2)
         n.maxIntervals = 2; // variance needs at least two windows
     return n;
+}
+
+SampledOptions
+parseSampleSpec(const std::string &flag, const std::string &text)
+{
+    SampledOptions o;
+    std::size_t start = 0;
+    for (std::uint64_t *field :
+         {&o.intervalCycles, &o.detailCycles, &o.warmupCycles}) {
+        const std::size_t colon = text.find(':', start);
+        *field = cli::parseNumber<std::uint64_t>(
+            flag, text.substr(start, colon - start));
+        ff_fatal_if(*field == 0, "bad ", flag, " value '", text,
+                    "' (every field must be positive)");
+        if (colon == std::string::npos)
+            return o;
+        start = colon + 1;
+    }
+    ff_fatal("bad ", flag, " value '", text,
+             "' (expected INTERVAL[:DETAIL[:WARMUP]])");
 }
 
 SampledPlan

@@ -38,6 +38,7 @@
 
 #include <array>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "sim/harness.hh"
@@ -79,6 +80,15 @@ struct SampledOptions
      */
     SampledOptions normalized() const;
 };
+
+/**
+ * Parses the value @p text of the sampling option @p flag,
+ * INTERVAL[:DETAIL[:WARMUP]]: one to three fields, each a positive
+ * integer that fits 64 bits; omitted fields are left for
+ * normalized() to derive. Anything else is fatal, naming @p flag.
+ */
+SampledOptions parseSampleSpec(const std::string &flag,
+                               const std::string &text);
 
 /** The statistical result of a sampled run (SimOutcome::sampled). */
 struct SampledEstimate

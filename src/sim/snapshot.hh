@@ -35,8 +35,10 @@ namespace sim
  * writes its access counters in the result cache's block order.
  * v4: the run-ahead core is a baseline core, so its model section
  * starts with the baseline section (four issue counters included).
+ * v5: the two-pass CQ depth sum and count moved into TwoPassStats,
+ * so the two-pass model section writes them inside its counters.
  */
-inline constexpr std::uint32_t kSnapshotFormatVersion = 4;
+inline constexpr std::uint32_t kSnapshotFormatVersion = 5;
 
 /** A timed model frozen mid-run. */
 struct Snapshot

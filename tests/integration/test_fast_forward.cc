@@ -4,7 +4,7 @@
  * model run to HALT in one run() call, which skips every quiet stretch
  * its horizons allow, must match a model run one cycle per run() call,
  * whose budget leaves nothing to skip: same run result, class counts,
- * model statistics, statsReport() text, state fingerprints and full
+ * model statistics, sim::statsReport() text, state fingerprints and full
  * snapshot bytes, for every model kind on every bundled workload and
  * on random programs. With the profile, telemetry and pipeview
  * observers attached, which still see every cycle, the harvested
@@ -81,16 +81,17 @@ runModel(const isa::Program &prog, CpuKind kind, const CoreConfig &cfg,
     ModelStats ms;
     model->collectStats(ms);
     serial::Writer w;
+    saveStats(w, ms.baseline);
     saveStats(w, ms.twopass);
     memory::saveStats(w, ms.alat);
     saveStats(w, ms.runahead);
     o.modelStats = w.take();
-    o.report = model->statsReport();
+    sim::SimOutcome out = sim::collectOutcome(*model, kind, o.run);
+    o.report = sim::statsReport(out);
     o.regFingerprint = model->archRegs().fingerprint();
     o.memFingerprint = model->memState().fingerprint();
     o.snapshot = sim::saveSnapshot(*model, kind, prog, cfg).state;
     if (observed) {
-        sim::SimOutcome out = sim::collectOutcome(*model, kind, o.run);
         auto rec = std::make_shared<sim::MetricsRecord>(session.harvest());
         o.pipeTrace = sim::encodePipeTrace(sim::buildPipeTrace(
             prog, cfg, kind, o.run.cycles, rec->pipeEvents,

@@ -4,7 +4,7 @@
  * read-only, so attaching the full metrics stack (profile +
  * telemetry observers through a MetricsSession) must leave every
  * architectural and statistical output of a run bit-identical to an
- * unobserved run — statsReport() text, cycle counts, and state
+ * unobserved run — sim::statsReport() text, cycle counts, and state
  * fingerprints — for every model kind on every bundled workload.
  * This is the regression wall behind "metrics are free to leave on":
  * an observer that mutates model state, or a model change that
@@ -49,7 +49,7 @@ runModel(const isa::Program &prog, cpu::CpuKind kind, bool observed)
     rec.run = model->run(20'000'000);
     if (session.attached())
         session.harvest();
-    rec.stats = model->statsReport();
+    rec.stats = sim::statsReport(sim::collectOutcome(*model, kind, rec.run));
     rec.regFingerprint = model->archRegs().fingerprint();
     rec.memFingerprint = model->memState().fingerprint();
     return rec;

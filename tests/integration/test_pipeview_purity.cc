@@ -60,7 +60,7 @@ runModel(const isa::Program &prog, cpu::CpuKind kind, bool traced)
         session.harvest();
     if (traced)
         engine::traceStop();
-    rec.stats = model->statsReport();
+    rec.stats = sim::statsReport(sim::collectOutcome(*model, kind, rec.run));
     rec.regFingerprint = model->archRegs().fingerprint();
     rec.memFingerprint = model->memState().fingerprint();
     return rec;

@@ -156,6 +156,39 @@ TEST_F(ResultCacheTest, MissStoreHitRoundTrip)
     EXPECT_EQ(s.errors, 0u);
 }
 
+TEST_F(ResultCacheTest, CachedOutcomeRendersTheSameStatsReport)
+{
+    // ffvm --stats is answered from the cache like a plain run, so an
+    // entry must carry every counter the dump prints: the baseline
+    // issue counters and the two-pass CQ depth sums included.
+    const cpu::CoreConfig cfg = sim::table1Config();
+    const workloads::Workload mcf =
+        workloads::buildWorkload("181.mcf", kScale);
+    for (unsigned k = 0; k < cpu::kNumCpuKinds; ++k) {
+        const sim::CpuKind kind = static_cast<sim::CpuKind>(k);
+        SCOPED_TRACE(sim::cpuKindName(kind));
+        const sim::SimOutcome cold = sim::simulate(mcf.program, kind, cfg);
+        if (kind == sim::CpuKind::kBaseline ||
+            kind == sim::CpuKind::kRunahead) {
+            EXPECT_GT(cold.baseline.loadsIssued, 0u);
+        } else {
+            EXPECT_GT(cold.twopass.cqDepthSum, 0u);
+            EXPECT_GT(cold.twopass.cqDepthSamples, 0u);
+        }
+        const std::string key = sim::resultCacheKey(
+            mcf.program, kind, cfg, sim::kDefaultMaxCycles);
+        ASSERT_TRUE(sim::resultCacheStore(key, cold));
+        sim::SimOutcome loaded;
+        ASSERT_TRUE(sim::resultCacheLookup(key, loaded));
+        EXPECT_EQ(sim::statsReport(loaded), sim::statsReport(cold));
+        EXPECT_EQ(loaded.baseline.loadsIssued, cold.baseline.loadsIssued);
+        EXPECT_EQ(loaded.baseline.mispredicts, cold.baseline.mispredicts);
+        EXPECT_EQ(loaded.twopass.cqDepthSum, cold.twopass.cqDepthSum);
+        EXPECT_EQ(loaded.twopass.cqDepthSamples,
+                  cold.twopass.cqDepthSamples);
+    }
+}
+
 TEST_F(ResultCacheTest, DisabledCacheNeverTouchesDisk)
 {
     sim::setResultCacheDir("");

@@ -20,9 +20,7 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
-#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -82,7 +80,8 @@ constexpr FlagSpec kFlags[] = {
     {"--stats", ArgKind::kNone, nullptr,
      "print the model's full statistics dump"},
     {"--max-cycles", ArgKind::kRequired, "N",
-     "simulation budget (default 400M)"},
+     "simulation budget (default 400M); a timed run that does not "
+     "halt within it fails"},
     {"--sample", ArgKind::kRequired, "INTERVAL[:DETAIL[:WARMUP]]",
      "sampled simulation: functional checkpoints every INTERVAL "
      "retired slots, parallel detailed replay of DETAIL-slot "
@@ -106,8 +105,9 @@ constexpr FlagSpec kFlags[] = {
     {"--regroup", ArgKind::kNone, nullptr,
      "dynamic regrouping on the two-pass models"},
     {"--verify", ArgKind::kOptional, "strict",
-     "run the ffcheck static verifier before simulating; strict "
-     "also fails on warnings"},
+     "run the ffcheck static verifier before simulating and print "
+     "its findings; strict also fails on warnings (a timed run "
+     "always refuses a program with errors)"},
     {"--profile", ArgKind::kOptional, "K",
      "per-instruction stall attribution; prints the top K rows "
      "(default 20, 0 = all)"},
@@ -123,7 +123,8 @@ constexpr FlagSpec kFlags[] = {
      "via ffview --json"},
     {"--cache-dir", ArgKind::kRequired, "DIR",
      "content-addressed result cache directory (also FF_CACHE_DIR); "
-     "plain timed runs hit the cache instead of re-simulating"},
+     "timed runs without --profile/--metrics-out/--pipeview/"
+     "--trace-out hit the cache instead of re-simulating"},
     {"--dump-flags", ArgKind::kNone, nullptr,
      "print the option table (name, value kind, metavar) and exit"},
     {"--help", ArgKind::kNone, nullptr, "print usage and exit"},
@@ -195,6 +196,7 @@ main(int argc, char **argv)
     std::string metrics_out;
     std::string trace_out;
     std::uint64_t max_cycles = sim::kDefaultMaxCycles;
+    bool max_cycles_set = false;
     sim::SampledOptions sopt;
     cpu::CoreConfig cfg = sim::table1Config();
 
@@ -279,23 +281,9 @@ main(int argc, char **argv)
             sim::setResultCacheDir(v);
         } else if (n == "--max-cycles") {
             max_cycles = cli::parseNumber<std::uint64_t>(name, v);
+            max_cycles_set = true;
         } else if (n == "--sample") {
-            // INTERVAL[:DETAIL[:WARMUP]], each field a positive integer.
-            std::size_t start = 0;
-            for (std::uint64_t *field :
-                 {&sopt.intervalCycles, &sopt.detailCycles,
-                  &sopt.warmupCycles}) {
-                const std::size_t colon = v.find(':', start);
-                *field = cli::parseNumber<std::uint64_t>(
-                    name, v.substr(start, colon - start));
-                ff_fatal_if(*field == 0, "bad --sample value '", v,
-                            "' (every field must be positive)");
-                start = colon == std::string::npos ? colon : colon + 1;
-                if (start == std::string::npos)
-                    break;
-            }
-            ff_fatal_if(start != std::string::npos, "bad --sample value '",
-                        v, "' (expected INTERVAL[:DETAIL[:WARMUP]])");
+            sopt = sim::parseSampleSpec(name, v);
         } else if (n == "--cq") {
             cfg.couplingQueueSize = num();
         } else if (n == "--alat") {
@@ -343,6 +331,11 @@ main(int argc, char **argv)
                 "--sample is incompatible with --stats/--profile/"
                 "--pipeview/--trace-out (those need a full detailed "
                 "run)");
+    // The estimate always covers the whole run: the functional pass
+    // runs the program to HALT, so there is no budget to honour.
+    ff_fatal_if(sopt.enabled() && max_cycles_set,
+                "--sample is incompatible with --max-cycles (a sampled "
+                "run always estimates the whole program)");
     mopt.profile =
         do_profile || (!metrics_out.empty() && !sopt.enabled());
     mopt.telemetry = !metrics_out.empty() && !sopt.enabled();
@@ -459,16 +452,19 @@ main(int argc, char **argv)
     else
         ff_fatal("unknown model '", model, "'");
 
-    if (sopt.enabled()) {
-        sim::SimJob job;
-        job.program = &prog;
-        job.kind = kind;
-        job.cfg = cfg;
-        job.maxCycles = max_cycles;
-        job.sampled = sopt;
-        const sim::SimOutcome out = sim::runBatch(std::span(&job, 1))[0];
-        ff_fatal_if(out.sampled == nullptr,
-                    "sampled run returned no estimate");
+    // Every timed run is one batch job: it passes the ffcheck wall,
+    // fails if it does not halt within the budget, and is answered
+    // from the result cache unless it is metered.
+    sim::SimJob job;
+    job.program = &prog;
+    job.kind = kind;
+    job.cfg = cfg;
+    job.maxCycles = max_cycles;
+    job.metrics = mopt;
+    job.sampled = sopt;
+    const sim::SimOutcome out = sim::runBatch(std::span(&job, 1))[0];
+
+    if (out.sampled != nullptr) {
         const sim::SampledEstimate &e = *out.sampled;
         std::printf("model=%s sampled halted=%d cycles~%llu "
                     "instructions=%llu ipc=%.3f +/- %.3f (95%% CI)\n",
@@ -489,34 +485,7 @@ main(int argc, char **argv)
                 ? 0.0
                 : 100.0 * static_cast<double>(e.sampledInsts) /
                       static_cast<double>(e.totalInsts));
-        std::printf("stalls: %s\n", out.cycles.render().c_str());
-        std::printf("checksum[0x100]=%llu\n",
-                    static_cast<unsigned long long>(out.checksum));
-        if (!metrics_out.empty()) {
-            std::ofstream mf(metrics_out);
-            ff_fatal_if(!mf, "cannot write '", metrics_out, "'");
-            mf << sim::metricsToJson(out, cfg, path);
-            std::printf("metrics: wrote %s\n", metrics_out.c_str());
-        }
-        if (sim::resultCacheEnabled()) {
-            const sim::ResultCacheStats cs = sim::resultCacheStats();
-            std::printf("cache: hits=%llu misses=%llu\n",
-                        static_cast<unsigned long long>(cs.hits),
-                        static_cast<unsigned long long>(cs.misses));
-        }
-        return out.run.halted ? 0 : 1;
-    }
-
-    // A plain timed run (no stats dump or metrics — nothing that
-    // needs the live model) can be answered from the result cache; a
-    // miss simulates and backfills it.
-    if (!do_stats && !mopt.enabled()) {
-        sim::SimJob job;
-        job.program = &prog;
-        job.kind = kind;
-        job.cfg = cfg;
-        job.maxCycles = max_cycles;
-        const sim::SimOutcome out = sim::runBatch(std::span(&job, 1))[0];
+    } else {
         std::printf("model=%s halted=%d cycles=%llu "
                     "instructions=%llu ipc=%.3f\n",
                     model.c_str(), out.run.halted ? 1 : 0,
@@ -524,88 +493,53 @@ main(int argc, char **argv)
                     static_cast<unsigned long long>(
                         out.run.instsRetired),
                     out.run.ipc());
-        std::printf("stalls: %s\n", out.cycles.render().c_str());
-        std::printf("checksum[0x100]=%llu\n",
-                    static_cast<unsigned long long>(out.checksum));
-        if (sim::resultCacheEnabled()) {
-            const sim::ResultCacheStats cs = sim::resultCacheStats();
-            std::printf("cache: hits=%llu misses=%llu\n",
-                        static_cast<unsigned long long>(cs.hits),
-                        static_cast<unsigned long long>(cs.misses));
-        }
-        return out.run.halted ? 0 : 1;
     }
-
-    const std::unique_ptr<cpu::CpuModel> m =
-        cpu::makeModel(kind, prog, cfg);
-    sim::MetricsSession session(prog, cfg, mopt);
-    session.attach(*m);
-    cpu::RunResult r;
-    {
-        engine::ScopedSpan run_span("run");
-        r = m->run(max_cycles);
-    }
-    std::printf("model=%s halted=%d cycles=%llu instructions=%llu "
-                "ipc=%.3f\n",
-                model.c_str(), r.halted ? 1 : 0,
-                static_cast<unsigned long long>(r.cycles),
-                static_cast<unsigned long long>(r.instsRetired),
-                r.ipc());
-    std::printf("stalls: %s\n",
-                m->cycleAccounting().render().c_str());
+    std::printf("stalls: %s\n", out.cycles.render().c_str());
     std::printf("checksum[0x100]=%llu\n",
-                static_cast<unsigned long long>(
-                    m->memState().read64(0x100)));
+                static_cast<unsigned long long>(out.checksum));
     if (do_stats)
-        std::printf("\n%s", m->statsReport().c_str());
-
-    if (session.attached()) {
-        sim::SimOutcome out = sim::collectOutcome(*m, kind, r);
-        sim::MetricsRecord rec = session.harvest();
-        std::vector<cpu::PipeEvent> pipe_events =
-            std::move(rec.pipeEvents);
-        const std::uint64_t pipe_dropped = rec.pipeDropped;
-        out.metrics = std::make_shared<const sim::MetricsRecord>(
-            std::move(rec));
-        if (do_profile) {
-            std::printf("\nstall attribution (top %u)\n%s",
-                        profile_k,
-                        sim::renderProfileTable(*out.metrics,
-                                                profile_k)
-                            .c_str());
+        std::printf("\n%s", sim::statsReport(out).c_str());
+    if (do_profile) {
+        std::printf("\nstall attribution (top %u)\n%s", profile_k,
+                    sim::renderProfileTable(*out.metrics, profile_k)
+                        .c_str());
+    }
+    if (!metrics_out.empty()) {
+        std::ofstream mf(metrics_out);
+        ff_fatal_if(!mf, "cannot write '", metrics_out, "'");
+        mf << sim::metricsToJson(out, cfg, path);
+        std::printf("metrics: wrote %s\n", metrics_out.c_str());
+    }
+    if (mopt.pipeview) {
+        sim::PipeTrace pt = sim::buildPipeTrace(
+            prog, cfg, kind, out.run.cycles, out.metrics->pipeEvents,
+            out.metrics->pipeDropped, path);
+        if (!trace_out.empty()) {
+            pt.engine = engine::traceStop();
+            const std::vector<std::uint8_t> bytes =
+                sim::encodePipeTrace(pt);
+            std::ofstream tf(trace_out, std::ios::binary);
+            ff_fatal_if(!tf, "cannot write '", trace_out, "'");
+            tf.write(reinterpret_cast<const char *>(bytes.data()),
+                     static_cast<std::streamsize>(bytes.size()));
+            std::printf("trace: wrote %s (%llu events, %llu engine "
+                        "spans)\n",
+                        trace_out.c_str(),
+                        static_cast<unsigned long long>(
+                            pt.events.size()),
+                        static_cast<unsigned long long>(
+                            pt.engine.spans.size()));
         }
-        if (!metrics_out.empty()) {
-            std::ofstream mf(metrics_out);
-            ff_fatal_if(!mf, "cannot write '", metrics_out, "'");
-            mf << sim::metricsToJson(out, cfg, path);
-            std::printf("metrics: wrote %s\n", metrics_out.c_str());
-        }
-        if (mopt.pipeview) {
-            sim::PipeTrace pt = sim::buildPipeTrace(
-                prog, cfg, kind, r.cycles, std::move(pipe_events),
-                pipe_dropped, path);
-            if (!trace_out.empty()) {
-                pt.engine = engine::traceStop();
-                const std::vector<std::uint8_t> bytes =
-                    sim::encodePipeTrace(pt);
-                std::ofstream tf(trace_out, std::ios::binary);
-                ff_fatal_if(!tf, "cannot write '", trace_out, "'");
-                tf.write(reinterpret_cast<const char *>(bytes.data()),
-                         static_cast<std::streamsize>(bytes.size()));
-                std::printf("trace: wrote %s (%llu events, %llu "
-                            "engine spans)\n",
-                            trace_out.c_str(),
-                            static_cast<unsigned long long>(
-                                pt.events.size()),
-                            static_cast<unsigned long long>(
-                                pt.engine.spans.size()));
-            }
-            if (do_pipeview) {
-                std::printf("\n%s",
-                            sim::renderPipeView(pt, pipeview_rows)
-                                .c_str());
-            }
+        if (do_pipeview) {
+            std::printf("\n%s",
+                        sim::renderPipeView(pt, pipeview_rows).c_str());
         }
     }
-    return r.halted ? 0 : 1;
+    if (sim::resultCacheEnabled()) {
+        const sim::ResultCacheStats cs = sim::resultCacheStats();
+        std::printf("cache: hits=%llu misses=%llu\n",
+                    static_cast<unsigned long long>(cs.hits),
+                    static_cast<unsigned long long>(cs.misses));
+    }
+    return out.run.halted ? 0 : 1;
 }
