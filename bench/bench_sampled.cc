@@ -15,13 +15,21 @@
  * (default scale 100 and sampling config 32000:4000; --max-err makes
  * the run fail if any workload x model relative IPC error exceeds PCT
  * — the sampled_accuracy CI gate; --min-speedup likewise gates the
- * aggregate wall-clock speedup — the bench-smoke throughput gate;
- * --json appends a machine-readable record for BENCH_fig6.json.)
+ * aggregate wall-clock speedup; --json writes a machine-readable
+ * record for BENCH_fig6.json, from which tools/bench_smoke.sh gates
+ * the sampler's own cost.)
  *
  * Timing note: both sweeps run through the same engine at the same
  * job count, so the reported speedup isolates the sampling estimator.
  * Run without FF_CACHE_DIR — cache hits would time the cache, not
  * the simulator.
+ *
+ * The sampler's own cost is reported apart from that ratio, which
+ * moves whenever detailed simulation gets faster: the cycles it
+ * simulates in detail (measured windows plus the warm-up legs before
+ * them, an upper bound) against the full sweep's cycles, a
+ * deterministic count, and the summed time of its functional
+ * checkpoint passes (the engine's "sample-plan" spans).
  */
 
 #include <chrono>
@@ -32,6 +40,7 @@
 #include <vector>
 
 #include "common/cli_number.hh"
+#include "common/engine_trace.hh"
 #include "sim/batch.hh"
 #include "sim/report.hh"
 #include "sim/result_cache.hh"
@@ -101,9 +110,17 @@ main(int argc, char **argv)
     const std::vector<sim::SimOutcome> full =
         sim::runSweep(suite, full_variants);
     const auto t1 = std::chrono::steady_clock::now();
+    engine::traceEnable();
     const std::vector<sim::SimOutcome> sampled =
         sim::runSweep(suite, sampled_variants);
     const auto t2 = std::chrono::steady_clock::now();
+    const engine::TraceData spans = engine::traceStop();
+
+    double plan_seconds = 0.0;
+    for (const engine::TraceSpan &sp : spans.spans) {
+        if (spans.names[sp.name] == "sample-plan")
+            plan_seconds += 1e-6 * static_cast<double>(sp.durUs);
+    }
 
     static const char *const kModelNames[] = {"base", "2P", "2Pre"};
     sim::TextTable t;
@@ -113,11 +130,17 @@ main(int argc, char **argv)
     double max_err = 0.0, sum_err = 0.0;
     std::string worst;
     unsigned rows = 0, covered = 0;
+    std::uint64_t full_cycles = 0, detailed_cycles = 0;
     for (std::size_t wi = 0; wi < suite.size(); ++wi) {
         for (std::size_t v = 0; v < full_variants.size(); ++v) {
             const sim::SimOutcome &f = full[wi * 3 + v];
             const sim::SimOutcome &s = sampled[wi * 3 + v];
             const sim::SampledEstimate &e = *s.sampled;
+            full_cycles += f.run.cycles;
+            // Interval 0, the exact prefix, runs no warm-up leg.
+            detailed_cycles +=
+                e.sampledCycles + (e.intervalsTotal - 1) *
+                                      e.options.warmupCycles;
             const double full_ipc = f.run.ipc();
             const double err =
                 std::fabs(e.ipcMean - full_ipc) / full_ipc;
@@ -156,6 +179,13 @@ main(int argc, char **argv)
                 "%.2fx speedup\n",
                 jobs, jobs == 1 ? "" : "s", full_wall, sampled_wall,
                 speedup);
+    std::printf("sampler: %llu of %llu full-run cycles simulated in "
+                "detail (%.1f%%); checkpoint passes %.3f s\n",
+                static_cast<unsigned long long>(detailed_cycles),
+                static_cast<unsigned long long>(full_cycles),
+                100.0 * static_cast<double>(detailed_cycles) /
+                    static_cast<double>(full_cycles),
+                plan_seconds);
 
     if (!json_path.empty()) {
         std::FILE *f = std::fopen(json_path.c_str(), "w");
@@ -175,6 +205,9 @@ main(int argc, char **argv)
             "  \"fullWallSeconds\": %.3f,\n"
             "  \"sampledWallSeconds\": %.3f,\n"
             "  \"sampledSpeedup\": %.2f,\n"
+            "  \"fullCycles\": %llu,\n"
+            "  \"detailedCycles\": %llu,\n"
+            "  \"planSeconds\": %.3f,\n"
             "  \"maxRelErrPct\": %.3f,\n"
             "  \"meanRelErrPct\": %.3f\n"
             "}\n",
@@ -182,8 +215,10 @@ main(int argc, char **argv)
             static_cast<unsigned long long>(norm.intervalCycles),
             static_cast<unsigned long long>(norm.detailCycles),
             static_cast<unsigned long long>(norm.warmupCycles),
-            full_wall, sampled_wall, speedup, 100.0 * max_err,
-            100.0 * mean_err);
+            full_wall, sampled_wall, speedup,
+            static_cast<unsigned long long>(full_cycles),
+            static_cast<unsigned long long>(detailed_cycles),
+            plan_seconds, 100.0 * max_err, 100.0 * mean_err);
         std::fclose(f);
     }
 

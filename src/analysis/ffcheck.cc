@@ -86,28 +86,6 @@ render(const Report &report, const std::string &source, bool show_notes)
 namespace
 {
 
-bool
-regInRange(RegId r)
-{
-    switch (r.cls) {
-      case RegClass::kNone:
-        return true;
-      case RegClass::kInt:
-        return r.idx < isa::kNumIntRegs;
-      case RegClass::kFp:
-        return r.idx < isa::kNumFpRegs;
-      case RegClass::kPred:
-        return r.idx < isa::kNumPredRegs;
-    }
-    return false;
-}
-
-bool
-hardwired(RegId r)
-{
-    return r.cls != RegClass::kNone && r.idx == 0;
-}
-
 /** Collects the checker state for one run. */
 class Checker
 {

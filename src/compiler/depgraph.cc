@@ -12,31 +12,7 @@ namespace compiler
 using isa::Instruction;
 using isa::RegClass;
 using isa::RegId;
-
-namespace
-{
-
-/** Dense index for a register id, for last-writer/reader tables. */
-int
-regSlot(RegId r)
-{
-    switch (r.cls) {
-      case RegClass::kInt:
-        return r.idx;
-      case RegClass::kFp:
-        return isa::kNumIntRegs + r.idx;
-      case RegClass::kPred:
-        return isa::kNumIntRegs + isa::kNumFpRegs + r.idx;
-      case RegClass::kNone:
-        return -1;
-    }
-    return -1;
-}
-
-constexpr int kNumSlots =
-    isa::kNumIntRegs + isa::kNumFpRegs + isa::kNumPredRegs;
-
-} // namespace
+using isa::regSlot;
 
 DepGraph::DepGraph(const std::vector<Instruction> &insts,
                    std::uint32_t begin, std::uint32_t end,
@@ -50,8 +26,8 @@ DepGraph::DepGraph(const std::vector<Instruction> &insts,
     _height.assign(_n, 0);
 
     // Last writer / readers since that writer, per register slot.
-    std::vector<std::int32_t> last_writer(kNumSlots, -1);
-    std::vector<std::vector<std::uint32_t>> readers(kNumSlots);
+    std::vector<std::int32_t> last_writer(isa::kNumRegSlots, -1);
+    std::vector<std::vector<std::uint32_t>> readers(isa::kNumRegSlots);
 
     std::int32_t last_store = -1;
     std::int32_t last_mem = -1; // most recent memory op of any kind

@@ -1,7 +1,5 @@
 #include "cpu/baseline/baseline_cpu.hh"
 
-#include <array>
-
 #include "cpu/exec.hh"
 
 namespace ff
@@ -37,33 +35,29 @@ checkGroupIssue(const isa::Program &prog, InstIdx leader, InstIdx end,
     if (sb.quiescentBy(now) && hier.outstandingLoads(now) == 0)
         return CycleClass::kUnstalled;
 
-    auto blocked_on = [&](isa::RegId r) {
-        until = sb.readyAt(r);
-        return stallClassFor(sb, r);
+    auto blocked_on = [&](unsigned slot) {
+        until = sb.readyAt(slot);
+        return stallClassFor(sb, slot);
     };
     unsigned loads_wanted = 0;
     for (InstIdx i = leader; i < end; ++i) {
-        const isa::Instruction &in = prog.inst(i);
-        if (!sb.ready(in.qpred, now))
-            return blocked_on(in.qpred);
-        const bool qp = regs.readPred(in.qpred);
-        if (!qp && !in.isBranch())
+        const isa::Decoded &d = prog.decoded(i);
+        if (!sb.ready(d.qp, now))
+            return blocked_on(d.qp);
+        const bool qp = regs.read(d.qp) != 0;
+        if (!qp && !d.isBranch())
             continue; // nullified slot needs no operands
-        if (in.src1.valid() && !sb.ready(in.src1, now))
-            return blocked_on(in.src1);
-        if (in.src2.valid() && !in.src2IsImm &&
-            !sb.ready(in.src2, now)) {
-            return blocked_on(in.src2);
-        }
+        if (!sb.ready(d.src1, now))
+            return blocked_on(d.src1);
+        if (!sb.ready(d.src2, now))
+            return blocked_on(d.src2);
         if (cfg.wawStall) {
-            std::array<isa::RegId, 2> dsts;
-            const unsigned nd = in.destinations(dsts);
-            for (unsigned d = 0; d < nd; ++d) {
-                if (!sb.ready(dsts[d], now))
-                    return blocked_on(dsts[d]);
+            for (unsigned k = 0; k < d.numDsts; ++k) {
+                if (!sb.ready(d.dst[k], now))
+                    return blocked_on(d.dst[k]);
             }
         }
-        if (in.isLoad() && qp)
+        if (d.isLoad() && qp)
             ++loads_wanted;
     }
 
@@ -109,20 +103,20 @@ BaselineCpu::tryIssue(Cycle now, RunResult &res)
     _fe.pop();
 
     for (InstIdx i = leader; i < end; ++i) {
-        const Instruction &in = _prog.inst(i);
+        const isa::Decoded &d = _prog.decoded(i);
         SlotOperands &o = _ops[i - leader];
-        o.qpred = _ms.regs.readPred(in.qpred);
-        o.s1 = in.src1.valid() ? _ms.regs.read(in.src1) : 0;
-        o.s2 = operandSrc2(
-            in, in.src2.valid() ? _ms.regs.read(in.src2) : 0);
+        o.qpred = _ms.regs.read(d.qp) != 0;
+        o.s1 = _ms.regs.read(d.src1);
+        o.s2 = operandSrc2(_prog.insts()[i], _ms.regs.read(d.src2));
     }
 
     for (InstIdx i = leader; i < end; ++i) {
-        const Instruction &in = _prog.inst(i);
+        const Instruction &in = _prog.insts()[i];
+        const isa::Decoded &d = _prog.decoded(i);
         const SlotOperands &o = _ops[i - leader];
         ++res.instsRetired;
 
-        if (in.isHalt()) {
+        if (d.isHalt()) {
             res.halted = true;
             break;
         }
@@ -144,15 +138,15 @@ BaselineCpu::tryIssue(Cycle now, RunResult &res)
             continue;
 
         if (ev.isMemAccess) {
-            if (in.isLoad()) {
+            if (d.isLoad()) {
                 ++_stats.loadsIssued;
                 const memory::AccessResult ar =
                     _hier.access(memory::AccessKind::kLoad,
                                  _fe.initiator(), ev.addr, now);
                 ev.dstVal = loadExtend(in.op, _mem.read(ev.addr,
                                                         ev.size));
-                _ms.regs.write(in.dst, ev.dstVal);
-                _ms.sb.setPending(in.dst, now + ar.latency,
+                _ms.regs.write(d.dst[0], ev.dstVal);
+                _ms.sb.setPending(d.dst[0], now + ar.latency,
                                   PendingKind::kLoad);
                 continue;
             }
@@ -163,18 +157,17 @@ BaselineCpu::tryIssue(Cycle now, RunResult &res)
             continue;
         }
 
-        const unsigned lat = in.execLatency();
         if (ev.writesDst) {
-            _ms.regs.write(in.dst, ev.dstVal);
-            if (lat > 1) {
-                _ms.sb.setPending(in.dst, now + lat,
+            _ms.regs.write(d.dst[0], ev.dstVal);
+            if (d.latency > 1) {
+                _ms.sb.setPending(d.dst[0], now + d.latency,
                                   PendingKind::kNonLoad);
             }
         }
         if (ev.writesDst2) {
-            _ms.regs.write(in.dst2, ev.dst2Val);
-            if (lat > 1) {
-                _ms.sb.setPending(in.dst2, now + lat,
+            _ms.regs.write(d.dst[1], ev.dst2Val);
+            if (d.latency > 1) {
+                _ms.sb.setPending(d.dst[1], now + d.latency,
                                   PendingKind::kNonLoad);
             }
         }

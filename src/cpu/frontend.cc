@@ -33,6 +33,8 @@ FrontEnd::tick(Cycle now)
     if (_queue.size() >= _cfg.fetchQueueGroups)
         return;
 
+    // The one bounds check of the group: every stage downstream reads
+    // the decoded table of [leader, end) unchecked.
     FetchedGroup g;
     g.leader = _pc;
     g.end = _prog.groupEnd(_pc);
@@ -47,19 +49,15 @@ FrontEnd::tick(Cycle now)
     _stats.icacheMissCycles += extra;
 
     // Decode-time branch handling: branches are group-final.
-    const isa::Instruction &last = _prog.inst(g.end - 1);
-    bool saw_halt = false;
-    for (InstIdx i = g.leader; i < g.end; ++i) {
-        if (_prog.inst(i).isHalt())
-            saw_halt = true;
-    }
+    const isa::Decoded &last = _prog.decoded(g.end - 1);
     if (last.isBranch()) {
         g.hasBranch = true;
         g.prediction = _pred.predict(isa::Program::instAddr(g.end - 1));
         g.predictedTaken = g.prediction.taken;
-        g.predictedNext = g.predictedTaken
-                              ? static_cast<InstIdx>(last.imm)
-                              : g.end;
+        g.predictedNext =
+            g.predictedTaken
+                ? static_cast<InstIdx>(_prog.insts()[g.end - 1].imm)
+                : g.end;
     } else {
         g.predictedNext = g.end;
     }
@@ -67,7 +65,7 @@ FrontEnd::tick(Cycle now)
     _queue.push_back(g);
     ++_stats.groupsFetched;
 
-    if (saw_halt || g.predictedNext >= _prog.size()) {
+    if (last.groupHasHalt() || g.predictedNext >= _prog.size()) {
         // Stop at a halt or past the program end; a redirect (flush
         // recovery) restarts fetch if this was a wrong path.
         _pcValid = false;
@@ -117,6 +115,12 @@ FrontEnd::restore(serial::Reader &r)
         FetchedGroup g;
         g.leader = r.u32();
         g.end = r.u32();
+        if (g.leader >= _prog.size() || g.end != _prog.groupEnd(g.leader)) {
+            // Not a group of this program: the stages read the
+            // decoded table of a queued group unchecked.
+            r.fail();
+            return;
+        }
         g.readyAt = r.u64();
         g.hasBranch = r.boolean();
         g.predictedTaken = r.boolean();

@@ -28,22 +28,22 @@ FunctionalCpu::run(std::uint64_t max_insts)
         // Phase 1: snapshot all operand reads (pre-group state).
         _ops.resize(end - _pc);
         for (InstIdx i = _pc; i < end; ++i) {
-            const isa::Instruction &in = _prog.inst(i);
+            const isa::Decoded &d = _prog.decoded(i);
             SlotOperands &o = _ops[i - _pc];
-            o.qpred = _regs.readPred(in.qpred);
-            o.s1 = in.src1.valid() ? _regs.read(in.src1) : 0;
-            o.s2 = operandSrc2(in, in.src2.valid() ? _regs.read(in.src2)
-                                                   : 0);
+            o.qpred = _regs.read(d.qp) != 0;
+            o.s1 = _regs.read(d.src1);
+            o.s2 = operandSrc2(_prog.insts()[i], _regs.read(d.src2));
         }
 
         // Phase 2: evaluate and apply in slot order.
         InstIdx next_pc = end;
         for (InstIdx i = _pc; i < end; ++i) {
-            const isa::Instruction &in = _prog.inst(i);
+            const isa::Instruction &in = _prog.insts()[i];
+            const isa::Decoded &d = _prog.decoded(i);
             const SlotOperands &o = _ops[i - _pc];
             ++_res.instsExecuted;
 
-            if (in.isHalt()) {
+            if (d.isHalt()) {
                 _res.halted = true;
                 break;
             }
@@ -65,8 +65,8 @@ FunctionalCpu::run(std::uint64_t max_insts)
                 continue;
             if (ev.isMemAccess) {
                 if (_warm != nullptr)
-                    _warm->recordMem(ev.addr, !in.isLoad());
-                if (in.isLoad()) {
+                    _warm->recordMem(ev.addr, !d.isLoad());
+                if (d.isLoad()) {
                     ++_res.loadsExecuted;
                     ev.dstVal =
                         loadExtend(in.op, _mem.read(ev.addr, ev.size));
@@ -76,9 +76,9 @@ FunctionalCpu::run(std::uint64_t max_insts)
                 }
             }
             if (ev.writesDst)
-                _regs.write(in.dst, ev.dstVal);
+                _regs.write(d.dst[0], ev.dstVal);
             if (ev.writesDst2)
-                _regs.write(in.dst2, ev.dst2Val);
+                _regs.write(d.dst[1], ev.dst2Val);
         }
 
         if (_res.halted)

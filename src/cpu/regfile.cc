@@ -7,26 +7,13 @@ namespace ff
 namespace cpu
 {
 
-isa::RegId
-slotReg(unsigned slot)
-{
-    if (slot < isa::kNumIntRegs)
-        return isa::intReg(slot);
-    slot -= isa::kNumIntRegs;
-    if (slot < isa::kNumFpRegs)
-        return isa::fpReg(slot);
-    slot -= isa::kNumFpRegs;
-    ff_panic_if(slot >= isa::kNumPredRegs, "bad register slot");
-    return isa::predReg(slot);
-}
-
 std::uint64_t
 RegFile::fingerprint() const
 {
     std::uint64_t h = 1469598103934665603ULL;
-    for (RegVal v : _vals) {
+    for (unsigned slot = 0; slot < kNumRegSlots; ++slot) {
         for (unsigned b = 0; b < 8; ++b) {
-            h ^= static_cast<std::uint8_t>(v >> (8 * b));
+            h ^= static_cast<std::uint8_t>(_vals[slot] >> (8 * b));
             h *= 1099511628211ULL;
         }
     }

@@ -2,9 +2,12 @@
  * @file
  * Architectural register state: 64 integer, 64 FP and 64 predicate
  * registers in one dense array (FP values stored as raw IEEE-754
- * bits). Register zero of each class is hardwired (r0 = 0, f0 = +0.0,
+ * bits), followed by the two constant source slots of isa::kZeroSlot.
+ * Register zero of each class is hardwired (r0 = 0, f0 = +0.0,
  * p0 = true): reads return the constant and writes are rejected by
- * the program validator.
+ * the program validator. Every access has a slot-keyed form, which
+ * the timed stages call with decoded slots, and a RegId form for
+ * tests, observers and cold paths, which wraps it.
  *
  * The file carries a dirty mask (one bit per slot, set on every
  * write) so checkpoint/shadow consumers — the run-ahead register
@@ -29,82 +32,70 @@ namespace ff
 namespace cpu
 {
 
-/** Total dense register slots across all classes. */
-inline constexpr unsigned kNumRegSlots =
-    isa::kNumIntRegs + isa::kNumFpRegs + isa::kNumPredRegs;
+// The slot map lives with the ISA; the register state below is keyed
+// by it.
+using isa::kNumRegSlots;
+using isa::kNumSlots;
+using isa::regSlot;
+using isa::slotReg;
 
 /**
- * Dense slot index of a register id; -1 for RegClass::kNone.
- * Shared by the register files, scoreboards and the A-file.
+ * The register slot a write to @p r lands in; panics on an unused
+ * operand. Callers drop writes to hardwired registers first.
  */
-inline int
-regSlot(isa::RegId r)
+inline unsigned
+destSlot(isa::RegId r)
 {
-    switch (r.cls) {
-      case isa::RegClass::kInt:
-        return r.idx;
-      case isa::RegClass::kFp:
-        return isa::kNumIntRegs + r.idx;
-      case isa::RegClass::kPred:
-        return isa::kNumIntRegs + isa::kNumFpRegs + r.idx;
-      case isa::RegClass::kNone:
-        return -1;
-    }
-    return -1;
+    const int slot = regSlot(r);
+    ff_panic_if(slot < 0, "write of unused operand slot");
+    return static_cast<unsigned>(slot);
 }
-
-/** Inverse of regSlot, for diagnostics. */
-isa::RegId slotReg(unsigned slot);
 
 /** Architectural (or speculative) register value state. */
 class RegFile
 {
   public:
+    /** A file with every register zero (p0 reads 1). */
     RegFile() { reset(); }
 
-    /** Reads a register; hardwired zeros included. */
-    RegVal
-    read(isa::RegId r) const
-    {
-        const int slot = regSlot(r);
-        ff_panic_if(slot < 0, "read of unused operand slot");
-        if (r.idx == 0) {
-            // Hardwired: r0 = 0, f0 = +0.0 (bits zero), p0 = true.
-            return r.cls == isa::RegClass::kPred ? 1 : 0;
-        }
-        return _vals[slot];
-    }
+    /**
+     * Reads slot @p slot: a register slot or a constant slot
+     * (isa::kZeroSlot, isa::kOneSlot). The timed stages read decoded
+     * source slots through this, with no test.
+     */
+    RegVal read(unsigned slot) const { return _vals[slot]; }
+
+    /** Reads a register; hardwired zeros (and p0 = 1) included. */
+    RegVal read(isa::RegId r) const { return read(isa::sourceSlot(r)); }
 
     /** Reads a predicate register as a boolean. */
     bool readPred(isa::RegId r) const { return read(r) != 0; }
+
+    /**
+     * Writes register slot @p slot (never a constant slot); a
+     * predicate slot stores 0 or 1.
+     */
+    void
+    write(unsigned slot, RegVal v)
+    {
+        _vals[slot] = slot >= isa::kFirstPredSlot ? (v != 0) : v;
+        _dirty.set(slot);
+    }
 
     /** Writes a register. Writes to index-0 registers are ignored. */
     void
     write(isa::RegId r, RegVal v)
     {
-        const int slot = regSlot(r);
-        ff_panic_if(slot < 0, "write of unused operand slot");
-        if (r.idx == 0)
-            return; // hardwired
-        if (r.cls == isa::RegClass::kPred)
-            v = v ? 1 : 0;
-        _vals[slot] = v;
-        _dirty.set(slot);
+        if (!isa::hardwired(r))
+            write(destSlot(r), v);
     }
 
-    /** Raw slot access (used by flush/repair routines). */
-    RegVal slotValue(unsigned slot) const { return _vals[slot]; }
-    void
-    setSlotValue(unsigned slot, RegVal v)
-    {
-        _vals[slot] = v;
-        _dirty.set(slot);
-    }
-
+    /** Zeroes every register and marks every slot dirty. */
     void
     reset()
     {
         _vals.fill(0);
+        _vals[isa::kOneSlot] = 1;
         // Conservative: a shadow copy synced before reset() differs
         // everywhere afterwards.
         _dirty.setAll();
@@ -115,29 +106,32 @@ class RegFile
      * slot MAY have changed; clean bits are guaranteed untouched.
      */
     const PackedBits<kNumRegSlots> &dirtyMask() const { return _dirty; }
+    /** Forgets every write so far (a shadow copy was just synced). */
     void clearDirty() { _dirty.clearAll(); }
 
-    /** FNV-1a digest of the full file, for equivalence tests. */
+    /** FNV-1a digest of every register slot, for equivalence tests. */
     std::uint64_t fingerprint() const;
 
-    /** Snapshot hooks: the dense slot array, in slot order. */
+    /** Snapshot hooks: the register slots, in slot order. */
     void
     save(serial::Writer &w) const
     {
-        for (const RegVal v : _vals)
-            w.u64(v);
+        for (unsigned slot = 0; slot < kNumRegSlots; ++slot)
+            w.u64(_vals[slot]);
     }
 
+    /** Exact inverse of save(). */
     void
     restore(serial::Reader &r)
     {
-        for (RegVal &v : _vals)
-            v = r.u64();
+        for (unsigned slot = 0; slot < kNumRegSlots; ++slot)
+            _vals[slot] = r.u64();
         _dirty.setAll();
     }
 
   private:
-    std::array<RegVal, kNumRegSlots> _vals;
+    /** The register slots, then the two constant slots. */
+    std::array<RegVal, kNumSlots> _vals;
     PackedBits<kNumRegSlots> _dirty;
 };
 

@@ -30,15 +30,9 @@ RunaheadCpu::tick(Cycle now, RunResult &res)
             Cycle exit_at = now + 1;
             const FetchedGroup &g = _fe.head();
             for (InstIdx i = g.leader; i < g.end; ++i) {
-                const Instruction &in = _prog.inst(i);
-                std::array<isa::RegId, 4> srcs;
-                unsigned ns = in.sources(srcs);
-                for (unsigned s = 0; s < ns; ++s) {
-                    if (!_ms.sb.ready(srcs[s], now)) {
-                        exit_at = std::max(exit_at,
-                                           _ms.sb.readyAt(srcs[s]));
-                    }
-                }
+                const isa::Decoded &d = _prog.decoded(i);
+                for (const unsigned slot : {d.qp, d.src1, d.src2})
+                    exit_at = std::max(exit_at, _ms.sb.readyAt(slot));
             }
             enterRunahead(now, exit_at);
             _stallStreak = 0;
@@ -64,7 +58,7 @@ RunaheadCpu::enterRunahead(Cycle now, Cycle exit_at)
     // INV. The busy bitset is a superset of "pending now", filtered
     // by ready time.
     _ms.sb.forEachBusy([&](unsigned slot) {
-        if (_ms.sb.readyAtSlot(slot) > now)
+        if (_ms.sb.readyAt(slot) > now)
             _ms.raInv.set(slot);
     });
     _ms.raSb.clear();
@@ -90,44 +84,34 @@ RunaheadCpu::runaheadStep(Cycle now)
     const FetchedGroup g = _fe.head();
     _fe.pop();
 
-    auto inv = [&](isa::RegId r) {
-        const int slot = regSlot(r);
-        if (slot < 0 || r.idx == 0)
-            return false;
-        return _ms.raInv.test(slot) || !_ms.raSb.ready(r, now);
+    // Constant slots are never INV or pending.
+    auto inv = [&](unsigned slot) {
+        return _ms.raInv.test(slot) || !_ms.raSb.ready(slot, now);
     };
-    auto mark_inv = [&](isa::RegId r) {
-        const int slot = regSlot(r);
-        if (slot >= 0 && r.idx != 0) {
-            _ms.raInv.set(slot);
-            ++_raStats.invResults;
-        }
+    auto mark_inv = [&](unsigned slot) {
+        _ms.raInv.set(slot);
+        ++_raStats.invResults;
     };
-    auto mark_valid = [&](isa::RegId r, RegVal v) {
-        const int slot = regSlot(r);
-        if (slot >= 0 && r.idx != 0) {
-            _ms.raInv.clear(slot);
-            _ms.raRegs.write(r, v);
-        }
+    auto mark_valid = [&](unsigned slot, RegVal v) {
+        _ms.raInv.clear(slot);
+        _ms.raRegs.write(slot, v);
     };
 
     for (InstIdx i = g.leader; i < g.end; ++i) {
-        const Instruction &in = _prog.inst(i);
+        const Instruction &in = _prog.insts()[i];
+        const isa::Decoded &d = _prog.decoded(i);
         ++_raStats.runaheadInsts;
-        if (in.isHalt())
+        if (d.isHalt())
             return; // idle out the rest of the episode
 
-        std::array<isa::RegId, 2> dsts;
-        const unsigned nd = in.destinations(dsts);
-
-        if (inv(in.qpred)) {
-            for (unsigned d = 0; d < nd; ++d)
-                mark_inv(dsts[d]);
+        if (inv(d.qp)) {
+            for (unsigned k = 0; k < d.numDsts; ++k)
+                mark_inv(d.dst[k]);
             continue;
         }
-        const bool qp = _ms.raRegs.readPred(in.qpred);
+        const bool qp = _ms.raRegs.read(d.qp) != 0;
 
-        if (in.isBranch()) {
+        if (d.isBranch()) {
             // Resolve locally when possible; never trains the real
             // predictor (results are discarded at exit).
             const bool taken = qp;
@@ -141,27 +125,20 @@ RunaheadCpu::runaheadStep(Cycle now)
         if (!qp)
             continue;
 
-        bool operands_inv = false;
-        if (in.src1.valid() && inv(in.src1))
-            operands_inv = true;
-        if (in.src2.valid() && !in.src2IsImm && inv(in.src2))
-            operands_inv = true;
-        if (operands_inv) {
-            for (unsigned d = 0; d < nd; ++d)
-                mark_inv(dsts[d]);
+        if (inv(d.src1) || inv(d.src2)) {
+            for (unsigned k = 0; k < d.numDsts; ++k)
+                mark_inv(d.dst[k]);
             continue;
         }
 
-        const RegVal s1 =
-            in.src1.valid() ? _ms.raRegs.read(in.src1) : 0;
-        const RegVal s2 = operandSrc2(
-            in, in.src2.valid() ? _ms.raRegs.read(in.src2) : 0);
-        EvalResult ev = evaluate(in, qp, s1, s2);
+        EvalResult ev =
+            evaluate(in, qp, _ms.raRegs.read(d.src1),
+                     operandSrc2(in, _ms.raRegs.read(d.src2)));
 
         if (ev.isMemAccess) {
-            if (in.isLoad()) {
+            if (d.isLoad()) {
                 if (!_hier.loadSlotAvailable(now)) {
-                    mark_inv(in.dst);
+                    mark_inv(d.dst[0]);
                     continue;
                 }
                 ++_raStats.runaheadLoads;
@@ -178,8 +155,8 @@ RunaheadCpu::runaheadStep(Cycle now)
                             : _mem.readByte(ev.addr + b);
                     raw |= static_cast<std::uint64_t>(byte) << (8 * b);
                 }
-                mark_valid(in.dst, loadExtend(in.op, raw));
-                _ms.raSb.setPending(in.dst, now + ar.latency,
+                mark_valid(d.dst[0], loadExtend(in.op, raw));
+                _ms.raSb.setPending(d.dst[0], now + ar.latency,
                                     PendingKind::kLoad);
             } else {
                 for (unsigned b = 0; b < ev.size; ++b) {
@@ -190,9 +167,9 @@ RunaheadCpu::runaheadStep(Cycle now)
             continue;
         }
         if (ev.writesDst)
-            mark_valid(in.dst, ev.dstVal);
+            mark_valid(d.dst[0], ev.dstVal);
         if (ev.writesDst2)
-            mark_valid(in.dst2, ev.dst2Val);
+            mark_valid(d.dst[1], ev.dst2Val);
     }
 }
 

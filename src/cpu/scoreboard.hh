@@ -42,15 +42,13 @@ enum class PendingKind : std::uint8_t
 class Scoreboard
 {
   public:
+    /** A scoreboard with nothing pending. */
     Scoreboard() { clear(); }
 
-    /** Marks @p r busy until @p ready_at. */
+    /** Marks register slot @p slot busy until @p ready_at. */
     void
-    setPending(isa::RegId r, Cycle ready_at, PendingKind kind)
+    setPending(unsigned slot, Cycle ready_at, PendingKind kind)
     {
-        const int slot = regSlot(r);
-        if (slot < 0 || r.idx == 0)
-            return;
         _readyAt[slot] = ready_at;
         _kind[slot] = kind;
         _busy.set(slot);
@@ -58,16 +56,29 @@ class Scoreboard
             _maxReadyAt = ready_at;
     }
 
+    /** Marks @p r busy until @p ready_at (never a hardwired one). */
+    void
+    setPending(isa::RegId r, Cycle ready_at, PendingKind kind)
+    {
+        if (r.valid() && !isa::hardwired(r))
+            setPending(destSlot(r), ready_at, kind);
+    }
+
+    /**
+     * True if slot @p slot is usable at @p now. A constant slot always
+     * is; so is a slot never marked pending, whose ready cycle is 0.
+     */
+    bool
+    ready(unsigned slot, Cycle now) const
+    {
+        return _readyAt[slot] <= now;
+    }
+
     /** True if @p r is usable at @p now. */
     bool
     ready(isa::RegId r, Cycle now) const
     {
-        if (_maxReadyAt <= now)
-            return true; // nothing anywhere is still pending
-        const int slot = regSlot(r);
-        if (slot < 0 || r.idx == 0)
-            return true;
-        return !_busy.test(slot) || _readyAt[slot] <= now;
+        return ready(isa::sourceSlot(r), now);
     }
 
     /**
@@ -76,31 +87,26 @@ class Scoreboard
      */
     bool quiescentBy(Cycle now) const { return _maxReadyAt <= now; }
 
-    Cycle
-    readyAt(isa::RegId r) const
-    {
-        const int slot = regSlot(r);
-        if (slot < 0 || r.idx == 0)
-            return 0;
-        return _readyAt[slot];
-    }
+    /** The cycle slot @p slot becomes usable (0 if never pending). */
+    Cycle readyAt(unsigned slot) const { return _readyAt[slot]; }
 
+    /** The cycle @p r becomes usable (0 if never pending). */
+    Cycle readyAt(isa::RegId r) const { return readyAt(isa::sourceSlot(r)); }
+
+    /** Producer kind of slot @p slot's last pending write. */
+    PendingKind kindOf(unsigned slot) const { return _kind[slot]; }
+
+    /** Producer kind of @p r's last pending write. */
     PendingKind
     kindOf(isa::RegId r) const
     {
-        const int slot = regSlot(r);
-        if (slot < 0 || r.idx == 0)
-            return PendingKind::kNone;
-        return _kind[slot];
+        return kindOf(isa::sourceSlot(r));
     }
-
-    /** Raw per-slot read for bitset-driven scans. */
-    Cycle readyAtSlot(unsigned slot) const { return _readyAt[slot]; }
 
     /**
      * Calls @p fn(slot) for every slot that has ever been marked
      * pending since the last clear(). A superset of the slots still
-     * pending at any given cycle: the callee filters on readyAtSlot().
+     * pending at any given cycle: the callee filters on readyAt().
      */
     template <typename Fn>
     void
@@ -109,6 +115,7 @@ class Scoreboard
         _busy.forEachSet(fn);
     }
 
+    /** Forgets every pending producer. */
     void
     clear()
     {
@@ -118,25 +125,26 @@ class Scoreboard
         _maxReadyAt = 0;
     }
 
-    /** Snapshot hooks: ready times and producer kinds per slot. */
+    /** Snapshot hooks: ready times and producer kinds per register. */
     void
     save(serial::Writer &w) const
     {
-        for (const Cycle c : _readyAt)
-            w.u64(c);
-        for (const PendingKind k : _kind)
-            w.u8(static_cast<std::uint8_t>(k));
+        for (unsigned slot = 0; slot < kNumRegSlots; ++slot)
+            w.u64(_readyAt[slot]);
+        for (unsigned slot = 0; slot < kNumRegSlots; ++slot)
+            w.u8(static_cast<std::uint8_t>(_kind[slot]));
     }
 
+    /** Exact inverse of save(). */
     void
     restore(serial::Reader &r)
     {
         _busy.clearAll();
         _maxReadyAt = 0;
-        for (Cycle &c : _readyAt)
-            c = r.u64();
-        for (PendingKind &k : _kind)
-            k = static_cast<PendingKind>(r.u8());
+        for (unsigned slot = 0; slot < kNumRegSlots; ++slot)
+            _readyAt[slot] = r.u64();
+        for (unsigned slot = 0; slot < kNumRegSlots; ++slot)
+            _kind[slot] = static_cast<PendingKind>(r.u8());
         // Rebuild the derived busy view: any slot with a recorded
         // ready time was pending at some point.
         for (unsigned slot = 0; slot < kNumRegSlots; ++slot) {
@@ -149,8 +157,9 @@ class Scoreboard
     }
 
   private:
-    std::array<Cycle, kNumRegSlots> _readyAt;
-    std::array<PendingKind, kNumRegSlots> _kind;
+    /** Per slot, constant slots included (always 0 and kNone). */
+    std::array<Cycle, kNumSlots> _readyAt;
+    std::array<PendingKind, kNumSlots> _kind;
     /**
      * Slots ever marked pending since clear(); bits are never lazily
      * dropped as producers complete, so this is a monotone superset
@@ -177,13 +186,13 @@ stallClassForKind(PendingKind kind)
 }
 
 /**
- * Maps a blocking register's producer kind on @p sb to its Figure-6
+ * Maps the producer kind of a blocking slot on @p sb to its Figure-6
  * stall class. The caller must have established that @p blocking is
- * actually pending (not ready): a stall on a register with no
- * in-flight producer is a scoreboarding bug and panics.
+ * actually pending (not ready): a stall on a slot with no in-flight
+ * producer is a scoreboarding bug and panics.
  */
 inline CycleClass
-stallClassFor(const Scoreboard &sb, isa::RegId blocking)
+stallClassFor(const Scoreboard &sb, unsigned blocking)
 {
     return stallClassForKind(sb.kindOf(blocking));
 }

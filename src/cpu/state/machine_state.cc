@@ -20,7 +20,7 @@ MachineState::checkpointRegsToRa()
             stale &= stale - 1;
             if (slot >= kNumRegSlots)
                 break;
-            raRegs.setSlotValue(slot, regs.slotValue(slot));
+            raRegs.write(slot, regs.read(slot));
         }
     }
     regs.clearDirty();

@@ -99,7 +99,7 @@ struct MachineState
     // ---- run-ahead checkpoint block ---------------------------------
     RegFile raRegs;   ///< checkpointed registers for run-ahead episodes
     Scoreboard raSb;  ///< run-ahead-local scoreboard
-    PackedBits<kNumRegSlots> raInv; ///< INV (poisoned) result marks
+    PackedBits<kNumSlots> raInv; ///< INV (poisoned) result marks
 
     /**
      * Re-syncs the run-ahead shadow register file with the

@@ -15,15 +15,15 @@ AFile::repairFromArch(const RegFile &bfile)
     unsigned repaired = 0;
     // A slot needs repair iff it is invalid or speculative; scan the
     // packed words so runs of clean registers cost one test per 64.
-    for (unsigned wi = 0; wi < PackedBits<kNumRegSlots>::kWords; ++wi) {
+    for (unsigned wi = 0; wi < PackedBits<kNumSlots>::kWords; ++wi) {
         std::uint64_t need = ~_valid.word(wi) | _spec.word(wi);
         while (need != 0) {
             const unsigned slot =
                 wi * 64 + static_cast<unsigned>(std::countr_zero(need));
             need &= need - 1;
             if (slot >= kNumRegSlots)
-                break; // tail bits past the last register
-            _value[slot] = bfile.slotValue(slot);
+                break; // the constant slots and the tail bits
+            _value[slot] = bfile.read(slot);
             _lastWriter[slot] = kInvalidDynId;
             _readyAt[slot] = 0;
             _kind[slot] = PendingKind::kNone;
@@ -39,7 +39,7 @@ void
 AFile::syncFromArch(const RegFile &bfile)
 {
     for (unsigned slot = 0; slot < kNumRegSlots; ++slot) {
-        _value[slot] = bfile.slotValue(slot);
+        _value[slot] = bfile.read(slot);
         _lastWriter[slot] = kInvalidDynId;
         _readyAt[slot] = 0;
         _kind[slot] = PendingKind::kNone;
@@ -52,6 +52,7 @@ void
 AFile::reset()
 {
     _value.fill(0);
+    _value[isa::kOneSlot] = 1;
     _lastWriter.fill(kInvalidDynId);
     _readyAt.fill(0);
     _kind.fill(PendingKind::kNone);

@@ -41,82 +41,72 @@ namespace cpu
 class AFile
 {
   public:
+    /** A fresh file: every register zero, valid, committed and idle. */
     AFile() { reset(); }
 
+    // Every query and update has a slot-keyed form, which the pipes
+    // call with decoded slots, and a RegId form wrapping it. A
+    // constant slot (isa::kZeroSlot, isa::kOneSlot) is always valid
+    // and ready and never written.
+
+    /** True if slot @p slot holds a usable (V=1) value. */
+    bool valid(unsigned slot) const { return _valid.test(slot); }
+
     /** True if the register holds a usable (V=1) value. */
+    bool valid(isa::RegId r) const { return valid(isa::sourceSlot(r)); }
+
+    /** True if slot @p slot's value is available by cycle @p now. */
     bool
-    valid(isa::RegId r) const
+    readyBy(unsigned slot, Cycle now) const
     {
-        const int slot = regSlot(r);
-        ff_panic_if(slot < 0, "A-file access to unused operand");
-        if (r.idx == 0)
-            return true; // hardwired registers are always valid
-        return _valid.test(slot);
+        return _readyAt[slot] <= now;
     }
 
     /** True if the value is available by cycle @p now. */
     bool
     readyBy(isa::RegId r, Cycle now) const
     {
-        const int slot = regSlot(r);
-        ff_panic_if(slot < 0, "A-file access to unused operand");
-        if (r.idx == 0)
-            return true;
-        return _readyAt[slot] <= now;
+        return readyBy(isa::sourceSlot(r), now);
     }
+
+    /** Producer kind of an in-flight slot (stall taxonomy). */
+    PendingKind kindOf(unsigned slot) const { return _kind[slot]; }
 
     /** Producer kind of an in-flight register (stall taxonomy). */
     PendingKind
     kindOf(isa::RegId r) const
     {
-        const int slot = regSlot(r);
-        if (slot < 0 || r.idx == 0)
-            return PendingKind::kNone;
-        return _kind[slot];
+        return kindOf(isa::sourceSlot(r));
     }
 
-    Cycle
-    readyAt(isa::RegId r) const
-    {
-        const int slot = regSlot(r);
-        if (slot < 0 || r.idx == 0)
-            return 0;
-        return _readyAt[slot];
-    }
+    /** The cycle slot @p slot's value arrives (0 when idle). */
+    Cycle readyAt(unsigned slot) const { return _readyAt[slot]; }
 
-    RegVal
-    read(isa::RegId r) const
-    {
-        const int slot = regSlot(r);
-        ff_panic_if(slot < 0, "A-file read of unused operand");
-        if (r.idx == 0)
-            return r.cls == isa::RegClass::kPred ? 1 : 0;
-        return _value[slot];
-    }
+    /** The cycle @p r's value arrives (0 when idle). */
+    Cycle readyAt(isa::RegId r) const { return readyAt(isa::sourceSlot(r)); }
 
+    /** The value in slot @p slot. */
+    RegVal read(unsigned slot) const { return _value[slot]; }
+
+    /** The value of @p r; hardwired registers read their constant. */
+    RegVal read(isa::RegId r) const { return read(isa::sourceSlot(r)); }
+
+    /** Reads a predicate register as a boolean. */
     bool readPred(isa::RegId r) const { return read(r) != 0; }
 
+    /** The last writer (or deferral marker) of @p r. */
     DynId
     lastWriter(isa::RegId r) const
     {
-        const int slot = regSlot(r);
-        if (slot < 0 || r.idx == 0)
-            return kInvalidDynId;
-        return _lastWriter[slot];
+        return _lastWriter[isa::sourceSlot(r)];
     }
 
-    /** An A-pipe instruction computed a result. */
+    /** An A-pipe instruction computed a result into slot @p slot. */
     void
-    writeExecuted(isa::RegId r, RegVal v, DynId id, Cycle ready_at,
+    writeExecuted(unsigned slot, RegVal v, DynId id, Cycle ready_at,
                   PendingKind kind)
     {
-        const int slot = regSlot(r);
-        ff_panic_if(slot < 0, "A-file write to unused operand");
-        if (r.idx == 0)
-            return;
-        if (r.cls == isa::RegClass::kPred)
-            v = v ? 1 : 0;
-        _value[slot] = v;
+        _value[slot] = slot >= isa::kFirstPredSlot ? (v != 0) : v;
         _valid.set(slot);
         _spec.set(slot);
         _lastWriter[slot] = id;
@@ -124,14 +114,19 @@ class AFile
         _kind[slot] = kind;
     }
 
-    /** An instruction deferring to the B-pipe marks its target. */
+    /** An A-pipe instruction computed a result. */
     void
-    markDeferred(isa::RegId r, DynId id)
+    writeExecuted(isa::RegId r, RegVal v, DynId id, Cycle ready_at,
+                  PendingKind kind)
     {
-        const int slot = regSlot(r);
-        ff_panic_if(slot < 0, "A-file deferral mark on unused operand");
-        if (r.idx == 0)
-            return;
+        if (!isa::hardwired(r))
+            writeExecuted(destSlot(r), v, id, ready_at, kind);
+    }
+
+    /** An instruction deferring to the B-pipe marks slot @p slot. */
+    void
+    markDeferred(unsigned slot, DynId id)
+    {
         _valid.clear(slot);
         _spec.set(slot);
         _lastWriter[slot] = id;
@@ -139,23 +134,25 @@ class AFile
         _kind[slot] = PendingKind::kNone;
     }
 
+    /** An instruction deferring to the B-pipe marks its target. */
+    void
+    markDeferred(isa::RegId r, DynId id)
+    {
+        if (!isa::hardwired(r))
+            markDeferred(destSlot(r), id);
+    }
+
     /**
-     * B-pipe feedback: accepted only if the register's outstanding
-     * invalidation (or write) was by instruction @p id.
+     * B-pipe feedback into slot @p slot: accepted only if the slot's
+     * outstanding invalidation (or write) was by instruction @p id.
      * @return true if the update was applied
      */
     bool
-    applyFeedback(isa::RegId r, RegVal v, DynId id)
+    applyFeedback(unsigned slot, RegVal v, DynId id)
     {
-        const int slot = regSlot(r);
-        ff_panic_if(slot < 0, "A-file feedback to unused operand");
-        if (r.idx == 0)
-            return false;
         if (_lastWriter[slot] != id)
             return false; // a younger writer owns this register now
-        if (r.cls == isa::RegClass::kPred)
-            v = v ? 1 : 0;
-        _value[slot] = v;
+        _value[slot] = slot >= isa::kFirstPredSlot ? (v != 0) : v;
         _valid.set(slot);
         _spec.clear(slot); // the value is architecturally committed
         _readyAt[slot] = 0;
@@ -163,18 +160,30 @@ class AFile
         return true;
     }
 
+    /** B-pipe feedback into @p r (never into a hardwired register). */
+    bool
+    applyFeedback(isa::RegId r, RegVal v, DynId id)
+    {
+        return !isa::hardwired(r) && applyFeedback(destSlot(r), v, id);
+    }
+
     /**
      * A pre-executed instruction retired in the B-pipe: clear the S
-     * bit if this register still belongs to it.
+     * bit of slot @p slot if it still belongs to @p id.
      */
+    void
+    commitMatch(unsigned slot, DynId id)
+    {
+        if (_lastWriter[slot] == id)
+            _spec.clear(slot);
+    }
+
+    /** commitMatch() of @p r; no-op on hardwired or unused operands. */
     void
     commitMatch(isa::RegId r, DynId id)
     {
-        const int slot = regSlot(r);
-        if (slot < 0 || r.idx == 0)
-            return;
-        if (_lastWriter[slot] == id)
-            _spec.clear(slot);
+        if (r.valid() && !isa::hardwired(r))
+            commitMatch(destSlot(r), id);
     }
 
     /**
@@ -194,32 +203,33 @@ class AFile
      */
     void syncFromArch(const RegFile &bfile);
 
+    /** Restores the fresh state of the constructor. */
     void reset();
 
     /** True if the entry is speculative (A-written, not committed). */
     bool
     speculative(isa::RegId r) const
     {
-        const int slot = regSlot(r);
-        if (slot < 0 || r.idx == 0)
-            return false;
-        return _spec.test(slot);
+        return _spec.test(isa::sourceSlot(r));
     }
 
     /** Packed S words, for whole-file scans. */
-    const PackedBits<kNumRegSlots> &specMask() const { return _spec; }
+    const PackedBits<kNumSlots> &specMask() const { return _spec; }
 
-    /** Snapshot hooks: the full V/S/DynID/timing sidecar per slot. */
+    /** Snapshot hooks: the full V/S/DynID/timing sidecar per register. */
     void save(serial::Writer &w) const;
+    /** Exact inverse of save(). */
     void restore(serial::Reader &r);
 
   private:
-    std::array<RegVal, kNumRegSlots> _value;
-    std::array<DynId, kNumRegSlots> _lastWriter;
-    std::array<Cycle, kNumRegSlots> _readyAt;
-    std::array<PendingKind, kNumRegSlots> _kind;
-    PackedBits<kNumRegSlots> _valid;
-    PackedBits<kNumRegSlots> _spec;
+    // Per slot, the two constant slots included: their entries stay
+    // as reset() leaves them (valid, committed, idle, 0 and 1).
+    std::array<RegVal, kNumSlots> _value;
+    std::array<DynId, kNumSlots> _lastWriter;
+    std::array<Cycle, kNumSlots> _readyAt;
+    std::array<PendingKind, kNumSlots> _kind;
+    PackedBits<kNumSlots> _valid;
+    PackedBits<kNumSlots> _spec;
 };
 
 } // namespace cpu

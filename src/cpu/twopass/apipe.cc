@@ -12,16 +12,16 @@ using isa::Instruction;
 bool
 APipe::anticipableStall(const FetchedGroup &g, Cycle now) const
 {
+    const AFile &af = _ctx.ms.afile;
+    auto anticipable = [&](unsigned slot) {
+        return af.valid(slot) && !af.readyBy(slot, now) &&
+               af.kindOf(slot) == PendingKind::kNonLoad;
+    };
     for (InstIdx i = g.leader; i < g.end; ++i) {
-        const Instruction &in = _ctx.prog.inst(i);
-        std::array<isa::RegId, 4> srcs;
-        const unsigned ns = in.sources(srcs);
-        for (unsigned s = 0; s < ns; ++s) {
-            const isa::RegId r = srcs[s];
-            if (_ctx.ms.afile.valid(r) && !_ctx.ms.afile.readyBy(r, now) &&
-                _ctx.ms.afile.kindOf(r) == PendingKind::kNonLoad) {
-                return true;
-            }
+        const isa::Decoded &d = _ctx.prog.decoded(i);
+        if (anticipable(d.qp) || anticipable(d.src1) ||
+            anticipable(d.src2)) {
+            return true;
         }
     }
     return false;
@@ -77,52 +77,55 @@ APipe::step(Cycle now)
 void
 APipe::dispatchGroup(const FetchedGroup &g, Cycle now)
 {
+    AFile &af = _ctx.ms.afile;
     for (InstIdx i = g.leader; i < g.end; ++i) {
-        const Instruction &in = _ctx.prog.inst(i);
+        const Instruction &in = _ctx.prog.insts()[i];
+        const isa::Decoded &d = _ctx.prog.decoded(i);
         const DynId id = _ctx.ms.nextId++;
         ++_ctx.stats.dispatched;
         if (_ctx.ms.observer != nullptr)
             _ctx.ms.observer->onDispatch(now, i, id);
 
         // ---- operand availability in the A-file ---------------------
+        // Hardwired and unused sources read constant slots, which are
+        // always valid and ready.
         DeferReason reason = DeferReason::kNone;
-        auto check = [&](isa::RegId r) {
-            if (reason != DeferReason::kNone || !r.valid())
+        auto check = [&](unsigned slot) {
+            if (reason != DeferReason::kNone)
                 return;
-            if (!_ctx.ms.afile.valid(r))
+            if (!af.valid(slot))
                 reason = DeferReason::kOperandInvalid;
-            else if (!_ctx.ms.afile.readyBy(r, now))
+            else if (!af.readyBy(slot, now))
                 reason = DeferReason::kOperandInFlight;
         };
-        check(in.qpred);
+        check(d.qp);
         bool qp = false;
         if (reason == DeferReason::kNone) {
-            qp = _ctx.ms.afile.readPred(in.qpred);
-            if (qp || in.isBranch()) {
-                check(in.src1);
-                if (!in.src2IsImm)
-                    check(in.src2);
+            qp = af.read(d.qp) != 0;
+            if (qp || d.isBranch()) {
+                check(d.src1);
+                check(d.src2);
             }
         }
 
         // ---- structural availability ---------------------------------
         if (reason == DeferReason::kNone && !_ctx.cfg.aPipeHasFpUnits &&
-            in.unit() == isa::UnitClass::kFp) {
+            d.isFp()) {
             // Partial replication (Sec. 3.7): no FP units in the
             // A-pipe; the B-pipe keeps the complete set.
             reason = DeferReason::kNoFunctionalUnit;
         }
-        if (reason == DeferReason::kNone && in.isLoad() &&
+        if (reason == DeferReason::kNone && d.isLoad() &&
             _ctx.ms.conflictRetryContains(i)) {
             // Fallback after this load's conflict flush; lifted once
             // the machine makes retirement progress.
             reason = DeferReason::kConflictRetry;
         }
-        if (reason == DeferReason::kNone && qp && in.isLoad() &&
+        if (reason == DeferReason::kNone && qp && d.isLoad() &&
             !_ctx.hier.loadSlotAvailable(now)) {
             reason = DeferReason::kMshrFull;
         }
-        if (reason == DeferReason::kNone && qp && in.isStore() &&
+        if (reason == DeferReason::kNone && qp && d.isStore() &&
             _ctx.sbuf.full()) {
             reason = DeferReason::kStoreBufferFull;
         }
@@ -149,17 +152,15 @@ APipe::dispatchGroup(const FetchedGroup &g, Cycle now)
             ++_ctx.stats.deferred;
             ++_ctx.stats
                   .deferredByReason[static_cast<unsigned>(reason)];
-            std::array<isa::RegId, 2> dsts;
-            const unsigned nd = in.destinations(dsts);
-            for (unsigned d = 0; d < nd; ++d)
-                _ctx.ms.afile.markDeferred(dsts[d], id);
+            for (unsigned k = 0; k < d.numDsts; ++k)
+                af.markDeferred(d.dst[k], id);
             if (_ctx.ms.observer != nullptr)
                 _ctx.ms.observer->onDefer(now, i, id, reason);
         } else {
             // ---- pre-execute in the A-pipe --------------------------
             ready_at = now;
             ++_ctx.stats.preExecuted;
-            if (in.isBranch()) {
+            if (d.isBranch()) {
                 // The direction is known: resolve the prediction at
                 // A-DET.
                 ++_ctx.stats.branchesResolvedInA;
@@ -171,17 +172,14 @@ APipe::dispatchGroup(const FetchedGroup &g, Cycle now)
                     _ctx.fe.redirect(
                         target, now + 1 + _ctx.cfg.branchResolveDelay);
                 }
-            } else if (in.isHalt()) {
+            } else if (d.isHalt()) {
                 _ctx.ms.aHalted = true;
             } else if (qp) { // a nullified slot completes with no effects
-                const RegVal s1 =
-                    in.src1.valid() ? _ctx.ms.afile.read(in.src1) : 0;
-                const RegVal s2 = operandSrc2(
-                    in,
-                    in.src2.valid() ? _ctx.ms.afile.read(in.src2) : 0);
-                const EvalResult ev = evaluate(in, qp, s1, s2);
+                const EvalResult ev =
+                    evaluate(in, qp, af.read(d.src1),
+                             operandSrc2(in, af.read(d.src2)));
 
-                if (in.isLoad()) {
+                if (d.isLoad()) {
                     ++_ctx.stats.loadsInA;
                     if (_ctx.ms.cq.deferredStores() > 0)
                         ++_ctx.stats.loadsPastDeferredStore;
@@ -199,10 +197,9 @@ APipe::dispatchGroup(const FetchedGroup &g, Cycle now)
                     ready_at = now + ar.latency;
                     addr = ev.addr;
                     size = ev.size;
-                    _ctx.ms.afile.writeExecuted(in.dst, dst_val, id,
-                                                ready_at,
-                                                PendingKind::kLoad);
-                } else if (in.isStore()) {
+                    af.writeExecuted(d.dst[0], dst_val, id, ready_at,
+                                     PendingKind::kLoad);
+                } else if (d.isStore()) {
                     ++_ctx.stats.storesInA;
                     _ctx.sbuf.insert(id, ev.addr, ev.size, ev.storeVal);
                     _ctx.hier.access(memory::AccessKind::kStore,
@@ -211,26 +208,24 @@ APipe::dispatchGroup(const FetchedGroup &g, Cycle now)
                     addr = ev.addr;
                     size = ev.size;
                 } else {
-                    ready_at = now + in.execLatency();
+                    ready_at = now + d.latency;
                     writes_dst = ev.writesDst;
                     writes_dst2 = ev.writesDst2;
                     dst_val = ev.dstVal;
                     dst2_val = ev.dst2Val;
                     if (ev.writesDst) {
-                        _ctx.ms.afile.writeExecuted(
-                            in.dst, ev.dstVal, id, ready_at,
-                            PendingKind::kNonLoad);
+                        af.writeExecuted(d.dst[0], ev.dstVal, id,
+                                         ready_at, PendingKind::kNonLoad);
                     }
                     if (ev.writesDst2) {
-                        _ctx.ms.afile.writeExecuted(
-                            in.dst2, ev.dst2Val, id, ready_at,
-                            PendingKind::kNonLoad);
+                        af.writeExecuted(d.dst[1], ev.dst2Val, id,
+                                         ready_at, PendingKind::kNonLoad);
                     }
                 }
             }
         }
 
-        const bool is_branch = in.isBranch();
+        const bool is_branch = d.isBranch();
         _ctx.ms.cq.push({
             .idx = i,
             .id = id,
@@ -245,8 +240,8 @@ APipe::dispatchGroup(const FetchedGroup &g, Cycle now)
             .dstVal = dst_val,
             .dst2Val = dst2_val,
             .readyAt = ready_at,
-            .isLoad = in.isLoad(),
-            .isStore = in.isStore(),
+            .isLoad = d.isLoad(),
+            .isStore = d.isStore(),
             .addr = addr,
             .size = size,
             .isBranch = is_branch,

@@ -36,19 +36,18 @@ BPipe::prescanWindow(const RetireWindow &w, Cycle now, Cycle *until) const
         // nullification shortcut uses the current predicate value;
         // in-window pre-executed producers may still flip it at apply
         // time, a deliberate (conservatively safe) simplification.
-        const Instruction &in = _ctx.prog.inst(cq.idx(k));
-        if (!sb.ready(in.qpred, now))
-            return verdict(stallClassFor(sb, in.qpred), sb.readyAt(in.qpred));
-        const bool qp = _ctx.ms.regs.readPred(in.qpred);
-        if (qp || in.isBranch()) {
-            if (in.src1.valid() && !sb.ready(in.src1, now))
-                return verdict(stallClassFor(sb, in.src1),
-                               sb.readyAt(in.src1));
-            if (in.src2.valid() && !in.src2IsImm &&
-                !sb.ready(in.src2, now)) {
-                return verdict(stallClassFor(sb, in.src2),
-                               sb.readyAt(in.src2));
-            }
+        const isa::Decoded &d = _ctx.prog.decoded(cq.idx(k));
+        auto blocked_on = [&](unsigned slot) {
+            return verdict(stallClassFor(sb, slot), sb.readyAt(slot));
+        };
+        if (!sb.ready(d.qp, now))
+            return blocked_on(d.qp);
+        const bool qp = _ctx.ms.regs.read(d.qp) != 0;
+        if (qp || d.isBranch()) {
+            if (!sb.ready(d.src1, now))
+                return blocked_on(d.src1);
+            if (!sb.ready(d.src2, now))
+                return blocked_on(d.src2);
         }
         if (cq.isLoad(k) && qp)
             ++deferred_loads;
@@ -96,17 +95,14 @@ BPipe::step(Cycle now, RunResult &res)
         auto entry_ready = [&](std::size_t k) {
             if (cq.preExecuted(k))
                 return cq.readyAt(k) <= now;
-            const isa::Instruction &in = _ctx.prog.inst(cq.idx(k));
-            if (!_ctx.ms.sb.ready(in.qpred, now))
+            const isa::Decoded &d = _ctx.prog.decoded(cq.idx(k));
+            if (!_ctx.ms.sb.ready(d.qp, now))
                 return false;
-            const bool qp = _ctx.ms.regs.readPred(in.qpred);
-            if (qp || in.isBranch()) {
-                if (in.src1.valid() && !_ctx.ms.sb.ready(in.src1, now))
-                    return false;
-                if (in.src2.valid() && !in.src2IsImm &&
-                    !_ctx.ms.sb.ready(in.src2, now)) {
-                    return false;
-                }
+            const bool qp = _ctx.ms.regs.read(d.qp) != 0;
+            if ((qp || d.isBranch()) &&
+                (!_ctx.ms.sb.ready(d.src1, now) ||
+                 !_ctx.ms.sb.ready(d.src2, now))) {
+                return false;
             }
             if (cq.isLoad(k) && qp && !_ctx.hier.loadSlotAvailable(now))
                 return false;
@@ -138,16 +134,18 @@ BPipe::applyWindow(const RetireWindow &w, Cycle now, RunResult &res)
     _ctx.stats.regroupedGroups += w.groups - 1;
     const InstIdx leader = cq.idx(0);
 
+    RegFile &regs = _ctx.ms.regs;
     std::size_t applied = 0;
     for (std::size_t k = 0; k < w.entries; ++k) {
-        const Instruction &in = _ctx.prog.inst(cq.idx(k));
+        const InstIdx idx = cq.idx(k);
+        const isa::Decoded &d = _ctx.prog.decoded(idx);
         const DynId id = cq.id(k);
         ++res.instsRetired;
         ++applied;
         if (cq.groupEnd(k))
             ++res.groupsRetired;
 
-        if (in.isHalt()) {
+        if (d.isHalt()) {
             res.halted = true;
             break;
         }
@@ -160,27 +158,23 @@ BPipe::applyWindow(const RetireWindow &w, Cycle now, RunResult &res)
                 if (cq.isLoad(k))
                     _ctx.alat.remove(id);
                 if (cq.writesDst(k))
-                    _ctx.ms.regs.write(in.dst, cq.dstVal(k));
+                    regs.write(d.dst[0], cq.dstVal(k));
                 if (cq.writesDst2(k))
-                    _ctx.ms.regs.write(in.dst2, cq.dst2Val(k));
+                    regs.write(d.dst[1], cq.dst2Val(k));
             }
             // Mark the A-file copy of these values architectural.
-            std::array<isa::RegId, 2> dsts;
-            const unsigned nd = in.destinations(dsts);
-            for (unsigned d = 0; d < nd; ++d)
-                _ctx.ms.afile.commitMatch(dsts[d], id);
+            for (unsigned j = 0; j < d.numDsts; ++j)
+                _ctx.ms.afile.commitMatch(d.dst[j], id);
             continue;
         }
 
         // ---- first execution of a deferred instruction --------------
         if (_ctx.ms.observer != nullptr)
-            _ctx.ms.observer->onReplay(now, cq.idx(k), id);
-        const bool qp = _ctx.ms.regs.readPred(in.qpred);
-        const RegVal s1 =
-            in.src1.valid() ? _ctx.ms.regs.read(in.src1) : 0;
-        const RegVal s2 = operandSrc2(
-            in, in.src2.valid() ? _ctx.ms.regs.read(in.src2) : 0);
-        EvalResult ev = evaluate(in, qp, s1, s2);
+            _ctx.ms.observer->onReplay(now, idx, id);
+        const Instruction &in = _ctx.prog.insts()[idx];
+        EvalResult ev = evaluate(in, regs.read(d.qp) != 0,
+                                 regs.read(d.src1),
+                                 operandSrc2(in, regs.read(d.src2)));
 
         if (ev.isBranch) {
             ++_ctx.stats.branchesResolvedInB;
@@ -199,21 +193,21 @@ BPipe::applyWindow(const RetireWindow &w, Cycle now, RunResult &res)
                 }
                 return;
             }
-            _feedback.schedule(in, id, now);
+            _feedback.schedule(d, id, now);
             continue;
         }
 
         if (ev.predTrue) {
             if (ev.isMemAccess) {
-                if (in.isLoad()) {
+                if (d.isLoad()) {
                     ++_ctx.stats.loadsInB;
                     const memory::AccessResult ar = _ctx.hier.access(
                         memory::AccessKind::kLoad,
                         memory::Initiator::kBpipe, ev.addr, now);
                     ev.dstVal = loadExtend(
                         in.op, _ctx.mem.read(ev.addr, ev.size));
-                    _ctx.ms.regs.write(in.dst, ev.dstVal);
-                    _ctx.ms.sb.setPending(in.dst, now + ar.latency,
+                    regs.write(d.dst[0], ev.dstVal);
+                    _ctx.ms.sb.setPending(d.dst[0], now + ar.latency,
                                           PendingKind::kLoad);
                 } else {
                     ++_ctx.stats.storesInB;
@@ -227,24 +221,24 @@ BPipe::applyWindow(const RetireWindow &w, Cycle now, RunResult &res)
                                      ev.addr, now);
                 }
             } else {
-                const unsigned lat = in.execLatency();
+                const unsigned lat = d.latency;
                 if (ev.writesDst) {
-                    _ctx.ms.regs.write(in.dst, ev.dstVal);
+                    regs.write(d.dst[0], ev.dstVal);
                     if (lat > 1) {
-                        _ctx.ms.sb.setPending(in.dst, now + lat,
+                        _ctx.ms.sb.setPending(d.dst[0], now + lat,
                                               PendingKind::kNonLoad);
                     }
                 }
                 if (ev.writesDst2) {
-                    _ctx.ms.regs.write(in.dst2, ev.dst2Val);
+                    regs.write(d.dst[1], ev.dst2Val);
                     if (lat > 1) {
-                        _ctx.ms.sb.setPending(in.dst2, now + lat,
+                        _ctx.ms.sb.setPending(d.dst[1], now + lat,
                                               PendingKind::kNonLoad);
                     }
                 }
             }
         }
-        _feedback.schedule(in, id, now);
+        _feedback.schedule(d, id, now);
     }
 
     for (std::size_t p = 0; p < applied; ++p)

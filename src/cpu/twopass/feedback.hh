@@ -40,13 +40,22 @@ class FeedbackPath
     }
 
     /**
-     * Queues one update per destination of @p in, carrying the
+     * Queues one update per destination of @p d, carrying the
      * architectural value as of this retirement: for a nullified
      * instruction that is the (unchanged) older value, which
      * correctly revalidates the conservatively-cleared V bit.
      * No-op when cfg.feedbackEnabled is off (Figure 8's "inf").
      */
-    void schedule(const isa::Instruction &in, DynId id, Cycle now);
+    void
+    schedule(const isa::Decoded &d, DynId id, Cycle now)
+    {
+        if (!_cfg.feedbackEnabled)
+            return;
+        for (unsigned k = 0; k < d.numDsts; ++k) {
+            _q.push_back({d.dst[k], _ms.regs.read(d.dst[k]), id,
+                          now + _cfg.feedbackLatency});
+        }
+    }
 
     /** Applies every update due by @p now, oldest first. */
     void apply(Cycle now);
@@ -70,30 +79,45 @@ class FeedbackPath
         return _q.empty() ? kNeverCycle : _q.front().applyAt;
     }
 
-    /** Snapshot hooks: the pending update queue, oldest first. */
+    /**
+     * Snapshot hooks: the pending update queue, oldest first, each
+     * update naming its register by class and index.
+     */
     void
     save(serial::Writer &w) const
     {
         w.u64(_q.size());
         for (std::size_t i = 0; i < _q.size(); ++i) {
             const Pending &p = _q[i];
-            w.u8(static_cast<std::uint8_t>(p.reg.cls));
-            w.u8(p.reg.idx);
+            const isa::RegId reg = slotReg(p.slot);
+            w.u8(static_cast<std::uint8_t>(reg.cls));
+            w.u8(reg.idx);
             w.u64(p.value);
             w.u64(p.id);
             w.u64(p.applyAt);
         }
     }
 
+    /**
+     * Exact inverse of save(); fails the reader on an update to a
+     * register no instruction can write.
+     */
     void
     restore(serial::Reader &r)
     {
         _q.clear();
         const std::size_t n = r.seq(26);
         for (std::size_t i = 0; i < n; ++i) {
+            isa::RegId reg;
+            reg.cls = static_cast<isa::RegClass>(r.u8());
+            reg.idx = r.u8();
+            if (!reg.valid() || isa::hardwired(reg) ||
+                !isa::regInRange(reg)) {
+                r.fail();
+                return;
+            }
             Pending p;
-            p.reg.cls = static_cast<isa::RegClass>(r.u8());
-            p.reg.idx = r.u8();
+            p.slot = static_cast<unsigned>(regSlot(reg));
             p.value = r.u64();
             p.id = r.u64();
             p.applyAt = r.u64();
@@ -105,7 +129,7 @@ class FeedbackPath
     /** One pending B-to-A update. */
     struct Pending
     {
-        isa::RegId reg;
+        unsigned slot; ///< the destination's register slot
         RegVal value;
         DynId id;
         Cycle applyAt;

@@ -14,12 +14,11 @@
 #ifndef FF_CPU_TWOPASS_REGROUPER_HH
 #define FF_CPU_TWOPASS_REGROUPER_HH
 
-#include <array>
-#include <bitset>
 #include <cstddef>
 
 #include "common/logging.hh"
 #include "cpu/regfile.hh"
+#include "cpu/state/bitset.hh"
 #include "cpu/twopass/coupling_queue.hh"
 #include "isa/program.hh"
 
@@ -48,18 +47,19 @@ namespace detail
 /** Mutable resource tally for a window under construction. */
 struct WindowResources
 {
-    unsigned total = 0;
-    unsigned alu = 0;
-    unsigned mem = 0;
-    unsigned fp = 0;
-    unsigned br = 0;
+    unsigned total = 0; ///< slots counted
+    unsigned alu = 0;   ///< integer ALU slots
+    unsigned mem = 0;   ///< load/store slots
+    unsigned fp = 0;    ///< FP slots
+    unsigned br = 0;    ///< branch slots
 
+    /** Counts @p d in; false (and nothing counted) if it won't fit. */
     bool
-    add(const isa::Instruction &in, const isa::GroupLimits &lim)
+    add(const isa::Decoded &d, const isa::GroupLimits &lim)
     {
         if (total + 1 > lim.issueWidth)
             return false;
-        switch (in.unit()) {
+        switch (d.unit) {
           case isa::UnitClass::kAlu:
             if (alu + 1 > lim.aluUnits)
                 return false;
@@ -116,29 +116,29 @@ extendRetireWindow(const CouplingQueue &cq, const isa::Program &prog,
                    const isa::GroupLimits &limits, Cycle now,
                    RetireWindow w, EntryReady &&entry_ready)
 {
-    // Window-so-far properties for the fusion rules.
+    // Window-so-far properties for the fusion rules. The deferred
+    // writes are keyed by slot, the constant slots included, so a
+    // decoded source tests its bit with no hardwired check.
     detail::WindowResources res;
-    std::bitset<kNumRegSlots> deferred_writes;
+    PackedBits<kNumSlots> deferred_writes;
     bool has_deferred_store = false;
     bool blocked = false;
     for (std::size_t k = 0; k < w.entries; ++k) {
-        const isa::Instruction &in = prog.inst(cq.idx(k));
+        const isa::Decoded &d = prog.decoded(cq.idx(k));
         // The head group is taken as-is: it was a legal issue group,
         // so add() cannot overflow on it.
-        res.add(in, limits);
+        res.add(d, limits);
         if (cq.deferred(k)) {
-            if (in.isBranch()) {
+            if (d.isBranch()) {
                 blocked = true;
                 break;
             }
-            if (in.isStore())
+            if (d.isStore())
                 has_deferred_store = true;
-            std::array<isa::RegId, 2> dsts;
-            unsigned nd = in.destinations(dsts);
-            for (unsigned d = 0; d < nd; ++d)
-                deferred_writes.set(regSlot(dsts[d]));
+            for (unsigned j = 0; j < d.numDsts; ++j)
+                deferred_writes.set(d.dst[j]);
         }
-        if (in.isHalt()) {
+        if (d.isHalt()) {
             blocked = true;
             break;
         }
@@ -162,13 +162,13 @@ extendRetireWindow(const CouplingQueue &cq, const isa::Program &prog,
 
         // Trial-fuse: all rules must pass before committing.
         detail::WindowResources trial = res;
-        std::bitset<kNumRegSlots> trial_deferred = deferred_writes;
+        PackedBits<kNumSlots> trial_deferred = deferred_writes;
         bool trial_def_store = has_deferred_store;
         bool ok = true;
         bool trial_blocked = false;
         for (std::size_t k = w.entries; k <= g_end; ++k) {
-            const isa::Instruction &in = prog.inst(cq.idx(k));
-            if (!trial.add(in, limits) || !entry_ready(k)) {
+            const isa::Decoded &d = prog.decoded(cq.idx(k));
+            if (!trial.add(d, limits) || !entry_ready(k)) {
                 ok = false;
                 break;
             }
@@ -179,28 +179,20 @@ extendRetireWindow(const CouplingQueue &cq, const isa::Program &prog,
                 ok = false;
                 break;
             }
-            std::array<isa::RegId, 4> srcs;
-            unsigned ns = in.sources(srcs);
-            for (unsigned s = 0; s < ns && ok; ++s) {
-                const int slot = regSlot(srcs[s]);
-                if (slot >= 0 && srcs[s].idx != 0 &&
-                    trial_deferred.test(slot)) {
-                    ok = false; // still dependent on a deferred result
-                }
-            }
-            if (!ok)
+            if (trial_deferred.test(d.qp) || trial_deferred.test(d.src1) ||
+                trial_deferred.test(d.src2)) {
+                ok = false; // still dependent on a deferred result
                 break;
-            if (cq.deferred(k)) {
-                if (in.isBranch())
-                    trial_blocked = true; // unresolved control
-                if (in.isStore())
-                    trial_def_store = true;
-                std::array<isa::RegId, 2> dsts;
-                unsigned nd = in.destinations(dsts);
-                for (unsigned d = 0; d < nd; ++d)
-                    trial_deferred.set(regSlot(dsts[d]));
             }
-            if (in.isHalt())
+            if (cq.deferred(k)) {
+                if (d.isBranch())
+                    trial_blocked = true; // unresolved control
+                if (d.isStore())
+                    trial_def_store = true;
+                for (unsigned j = 0; j < d.numDsts; ++j)
+                    trial_deferred.set(d.dst[j]);
+            }
+            if (d.isHalt())
                 trial_blocked = true;
         }
         if (!ok)

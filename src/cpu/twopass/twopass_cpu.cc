@@ -114,6 +114,11 @@ TwoPassCpu::restoreModelState(serial::Reader &r)
     _ms.regs.restore(r);
     _ms.sb.restore(r);
     _ms.cq.restore(r);
+    for (std::size_t k = 0; k < _ms.cq.size(); ++k) {
+        // The B-pipe reads a queued entry's decoded slot unchecked.
+        if (_ms.cq.idx(k) >= _prog.size())
+            r.fail();
+    }
     _sbuf.restore(r);
     _alat.restore(r);
 

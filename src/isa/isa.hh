@@ -48,6 +48,89 @@ struct RegId
     bool operator==(const RegId &) const = default;
 };
 
+/** Total dense register slots across all classes. */
+inline constexpr unsigned kNumRegSlots =
+    kNumIntRegs + kNumFpRegs + kNumPredRegs;
+
+/** The first predicate slot; a predicate slot holds 0 or 1. */
+inline constexpr unsigned kFirstPredSlot = kNumIntRegs + kNumFpRegs;
+
+/**
+ * Two constant source slots follow the registers. A decoded source
+ * that reads a hardwired register or an unused operand names one of
+ * them: r0, f0 and an unused operand read kZeroSlot (0), p0 reads
+ * kOneSlot (1). Register state keyed by slot holds these constants
+ * and never writes them, so they are never pending or invalid and a
+ * read needs no test.
+ */
+inline constexpr unsigned kZeroSlot = kNumRegSlots;
+/** The constant slot p0 reads (1); see kZeroSlot. */
+inline constexpr unsigned kOneSlot = kNumRegSlots + 1;
+
+/** Entries of a slot-keyed register array: registers, then constants. */
+inline constexpr unsigned kNumSlots = kNumRegSlots + 2;
+
+/**
+ * Dense slot index of a register id; -1 for RegClass::kNone. Shared
+ * by the register files, scoreboards, the A-file and the analyses.
+ */
+inline int
+regSlot(RegId r)
+{
+    switch (r.cls) {
+      case RegClass::kInt:
+        return r.idx;
+      case RegClass::kFp:
+        return kNumIntRegs + r.idx;
+      case RegClass::kPred:
+        return kFirstPredSlot + r.idx;
+      case RegClass::kNone:
+        return -1;
+    }
+    return -1;
+}
+
+/** Inverse of regSlot() over [0, kNumRegSlots); panics past it. */
+RegId slotReg(unsigned slot);
+
+/** True if @p r's index fits its class's file (kNone always does). */
+inline bool
+regInRange(RegId r)
+{
+    switch (r.cls) {
+      case RegClass::kNone:
+        return true;
+      case RegClass::kInt:
+        return r.idx < kNumIntRegs;
+      case RegClass::kFp:
+        return r.idx < kNumFpRegs;
+      case RegClass::kPred:
+        return r.idx < kNumPredRegs;
+    }
+    return false;
+}
+
+/** True for r0, f0 and p0, whose reads are constants. */
+inline bool
+hardwired(RegId r)
+{
+    return r.valid() && r.idx == 0;
+}
+
+/**
+ * The slot a read of @p r names: its register slot, or the constant
+ * slot of a hardwired register or an unused operand (see kZeroSlot).
+ */
+inline unsigned
+sourceSlot(RegId r)
+{
+    if (!r.valid())
+        return kZeroSlot;
+    if (r.idx == 0)
+        return r.cls == RegClass::kPred ? kOneSlot : kZeroSlot;
+    return static_cast<unsigned>(regSlot(r));
+}
+
 /** Convenience constructors mirroring assembly syntax. */
 inline RegId intReg(unsigned i)
 {
@@ -140,6 +223,8 @@ struct OpInfo
      * the L1 access time into the hierarchy so this is 0 for loads).
      */
     unsigned latency;
+    /** Bytes a load or store accesses; 0 for every other opcode. */
+    unsigned accessBytes;
 };
 
 namespace detail

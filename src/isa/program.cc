@@ -50,6 +50,48 @@ mixReg(std::uint64_t h, RegId r)
                         static_cast<std::uint64_t>(r.idx));
 }
 
+/**
+ * Decodes @p in (instruction @p i). Panics on a destination the
+ * timed stages would index without a test: an opcode that writes dst
+ * (or, for a compare, dst2) with that operand unused. Hardwired and
+ * out-of-range registers are left to validate(), which every model
+ * runs before its first cycle.
+ */
+Decoded
+decode(const Instruction &in, InstIdx i)
+{
+    const OpInfo &info = opInfo(in.op);
+    Decoded d;
+    d.qp = static_cast<std::uint8_t>(sourceSlot(in.qpred));
+    d.src1 = static_cast<std::uint8_t>(sourceSlot(in.src1));
+    d.src2 = static_cast<std::uint8_t>(
+        in.src2IsImm ? kZeroSlot : sourceSlot(in.src2));
+    std::array<RegId, 2> dsts;
+    d.numDsts = static_cast<std::uint8_t>(in.destinations(dsts));
+    for (unsigned k = 0; k < d.numDsts; ++k)
+        d.dst[k] = static_cast<std::uint8_t>(regSlot(dsts[k]));
+
+    const bool writes_dst = !(in.isNop() || in.isHalt() ||
+                              in.isStore() || in.isBranch());
+    const bool writes_dst2 =
+        in.op == Opcode::kCmp || in.op == Opcode::kFcmp;
+    ff_panic_if(writes_dst && !in.dst.valid(), "inst ", i, ": ",
+                info.mnemonic, " has no destination");
+    ff_panic_if(writes_dst2 && !in.dst2.valid(), "inst ", i, ": ",
+                info.mnemonic, " has no second destination");
+
+    d.flags = static_cast<std::uint8_t>(
+        (in.isLoad() ? Decoded::kLoad : 0) |
+        (in.isStore() ? Decoded::kStore : 0) |
+        (in.isBranch() ? Decoded::kBranch : 0) |
+        (in.isHalt() ? Decoded::kHalt : 0) |
+        (info.unit == UnitClass::kFp ? Decoded::kFpUnit : 0));
+    d.unit = info.unit;
+    d.latency = static_cast<std::uint8_t>(info.latency);
+    d.size = static_cast<std::uint8_t>(info.accessBytes);
+    return d;
+}
+
 } // namespace
 
 void
@@ -58,14 +100,22 @@ Program::rebuildGroups()
     const InstIdx n = static_cast<InstIdx>(_insts.size());
     _groupStart.assign(n, 0);
     _groupEnd.assign(n, 0);
+    _decoded.resize(n);
     InstIdx leader = 0;
+    bool group_halt = false;
     std::uint64_t h = 0x8f1e'c0de'0000'0000ULL ^ n;
     for (InstIdx i = 0; i < n; ++i) {
         _groupStart[i] = leader;
+        _decoded[i] = decode(_insts[i], i);
+        group_halt = group_halt || _insts[i].isHalt();
         if (_insts[i].stop || i + 1 == n) {
-            for (InstIdx j = leader; j <= i; ++j)
+            for (InstIdx j = leader; j <= i; ++j) {
                 _groupEnd[j] = i + 1;
+                if (group_halt)
+                    _decoded[j].flags |= Decoded::kGroupHalt;
+            }
             leader = i + 1;
+            group_halt = false;
         }
         // Fold every semantic field (not raw bytes: padding and the
         // srcLine provenance must not perturb the identity).
@@ -155,27 +205,6 @@ Program::pokeDouble(Addr addr, double value)
     std::memcpy(&bits, &value, sizeof(bits));
     poke64(addr, bits);
 }
-
-namespace
-{
-
-bool
-regInRange(RegId r)
-{
-    switch (r.cls) {
-      case RegClass::kNone:
-        return true;
-      case RegClass::kInt:
-        return r.idx < kNumIntRegs;
-      case RegClass::kFp:
-        return r.idx < kNumFpRegs;
-      case RegClass::kPred:
-        return r.idx < kNumPredRegs;
-    }
-    return false;
-}
-
-} // namespace
 
 std::string
 Program::validate(const GroupLimits &limits) const

@@ -8,6 +8,7 @@
 #ifndef FF_ISA_PROGRAM_HH
 #define FF_ISA_PROGRAM_HH
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <mutex>
@@ -33,14 +34,60 @@ class Program;
  */
 Program sequentialize(const Program &prog);
 
+/**
+ * The decoded form of one static instruction: what the timed stages
+ * read per slot, computed once when the program builds its group
+ * tables. Sources name slots (isa::sourceSlot()), so a hardwired or
+ * unused source reads a constant slot; destinations name register
+ * slots and are listed in destinations() order. Semantics (opcode,
+ * condition, immediate) stay in the Instruction.
+ */
+struct Decoded
+{
+    /** Flag bits of @c flags. */
+    enum : std::uint8_t
+    {
+        kLoad = 1u << 0,      ///< a load
+        kStore = 1u << 1,     ///< a store
+        kBranch = 1u << 2,    ///< a branch
+        kHalt = 1u << 3,      ///< a HALT
+        kFpUnit = 1u << 4,    ///< issues to an FP unit
+        kGroupHalt = 1u << 5, ///< a slot of this issue group is a HALT
+    };
+
+    std::uint8_t qp = kOneSlot;    ///< qualifying predicate's slot
+    std::uint8_t src1 = kZeroSlot; ///< src1's slot
+    /** src2's slot; kZeroSlot when src2 is unused or an immediate. */
+    std::uint8_t src2 = kZeroSlot;
+    std::uint8_t numDsts = 0;          ///< destinations written
+    std::array<std::uint8_t, 2> dst{}; ///< their register slots
+    std::uint8_t flags = 0;            ///< kLoad | kStore | ...
+    UnitClass unit = UnitClass::kAlu;  ///< OpInfo::unit
+    std::uint8_t latency = 0;          ///< OpInfo::latency
+    std::uint8_t size = 0;             ///< OpInfo::accessBytes
+
+    /** True for a load. */
+    bool isLoad() const { return (flags & kLoad) != 0; }
+    /** True for a store. */
+    bool isStore() const { return (flags & kStore) != 0; }
+    /** True for a branch. */
+    bool isBranch() const { return (flags & kBranch) != 0; }
+    /** True for a HALT. */
+    bool isHalt() const { return (flags & kHalt) != 0; }
+    /** True when the instruction issues to an FP unit. */
+    bool isFp() const { return (flags & kFpUnit) != 0; }
+    /** True when a slot of this instruction's issue group is a HALT. */
+    bool groupHasHalt() const { return (flags & kGroupHalt) != 0; }
+};
+
 /** Machine resource widths used to validate issue groups. */
 struct GroupLimits
 {
-    unsigned issueWidth = 8;
-    unsigned aluUnits = 5;
-    unsigned memUnits = 3;
-    unsigned fpUnits = 3;
-    unsigned branchUnits = 3;
+    unsigned issueWidth = 8;  ///< slots per issue group
+    unsigned aluUnits = 5;    ///< integer ALU slots per group
+    unsigned memUnits = 3;    ///< load/store slots per group
+    unsigned fpUnits = 3;     ///< FP slots per group
+    unsigned branchUnits = 3; ///< branch slots per group
 };
 
 /**
@@ -58,6 +105,7 @@ class Program
     /** Base virtual address of the text segment. */
     static constexpr Addr kTextBase = 0x4000'0000;
 
+    /** An empty program (no instructions, empty image). */
     Program() = default;
     /**
      * @p image is the initial data image; a copy of another
@@ -66,10 +114,21 @@ class Program
     Program(std::string name, std::vector<Instruction> insts,
             memory::SparseMemory image = {});
 
+    /** The program's display name. */
     const std::string &name() const { return _name; }
 
+    /** The instruction stream, in index order. */
     const std::vector<Instruction> &insts() const { return _insts; }
+    /** Instruction @p i, bounds-checked. */
     const Instruction &inst(InstIdx i) const { return _insts.at(i); }
+
+    /**
+     * The decoded form of instruction @p i, unchecked: the timed
+     * stages read it for every slot of a group whose [leader, end)
+     * the front end took from groupEnd(), which is checked.
+     */
+    const Decoded &decoded(InstIdx i) const { return _decoded[i]; }
+    /** Number of instructions. */
     InstIdx size() const { return static_cast<InstIdx>(_insts.size()); }
 
     /** Index of the first instruction of the group containing @p i. */
@@ -171,6 +230,7 @@ class Program
     std::vector<Instruction> _insts;
     std::vector<InstIdx> _groupStart;
     std::vector<InstIdx> _groupEnd;
+    std::vector<Decoded> _decoded; ///< one entry per instruction
     std::uint64_t _instHash = 0;
     memory::SparseMemory _data;
     mutable ContentMemo _content;

@@ -31,24 +31,6 @@ Cache::Cache(std::string name, const CacheGeometry &geom)
 }
 
 bool
-Cache::access(Addr a, bool set_dirty)
-{
-    Line *set = &_lines[setIndex(a) * _geom.assoc];
-    const Addr tag = tagOf(a);
-    for (unsigned w = 0; w < _geom.assoc; ++w) {
-        if (set[w].valid && set[w].tag == tag) {
-            set[w].lruStamp = ++_clock;
-            if (set_dirty)
-                set[w].dirty = true;
-            ++_hits;
-            return true;
-        }
-    }
-    ++_misses;
-    return false;
-}
-
-bool
 Cache::contains(Addr a) const
 {
     const Line *set = &_lines[setIndex(a) * _geom.assoc];

@@ -24,9 +24,9 @@ namespace memory
 /** Geometry and access time of one cache level. */
 struct CacheGeometry
 {
-    std::size_t sizeBytes;
-    unsigned assoc;
-    unsigned lineBytes;
+    std::size_t sizeBytes; ///< capacity in bytes
+    unsigned assoc;        ///< ways per set
+    unsigned lineBytes;    ///< line size, a power of two
     /** Load-to-use latency when the access is serviced here. */
     unsigned latency;
 };
@@ -34,18 +34,21 @@ struct CacheGeometry
 /** Result of inserting a line: what was evicted, if anything. */
 struct Eviction
 {
-    bool valid = false;
-    bool dirty = false;
-    Addr lineAddr = 0;
+    bool valid = false; ///< a line was evicted
+    bool dirty = false; ///< it was dirty: a writeback
+    Addr lineAddr = 0;  ///< its line address
 };
 
 /** One level of tag state. */
 class Cache
 {
   public:
+    /** An empty cache named @p name; fatal on a bad @p geom. */
     Cache(std::string name, const CacheGeometry &geom);
 
+    /** The level's report name ("l1d", ...). */
     const std::string &name() const { return _name; }
+    /** The level's geometry and latency. */
     const CacheGeometry &geometry() const { return _geom; }
 
     /** Line-aligns @p a for this level. */
@@ -53,11 +56,28 @@ class Cache
         _geom.lineBytes - 1); }
 
     /**
-     * Probes for @p a; updates LRU on hit.
+     * Probes for @p a; updates LRU on hit. Inline: every access of
+     * every level, each fetch included, starts here.
      * @param set_dirty mark the line dirty on hit (store access)
      * @return true on hit
      */
-    bool access(Addr a, bool set_dirty);
+    bool
+    access(Addr a, bool set_dirty)
+    {
+        Line *set = &_lines[setIndex(a) * _geom.assoc];
+        const Addr tag = tagOf(a);
+        for (unsigned w = 0; w < _geom.assoc; ++w) {
+            if (set[w].valid && set[w].tag == tag) {
+                set[w].lruStamp = ++_clock;
+                if (set_dirty)
+                    set[w].dirty = true;
+                ++_hits;
+                return true;
+            }
+        }
+        ++_misses;
+        return false;
+    }
 
     /** Probe without touching LRU/dirty state (for tests/debug). */
     bool contains(Addr a) const;
@@ -75,9 +95,13 @@ class Cache
     /** Drops all tag state (used between harness runs). */
     void reset();
 
+    /** Probes that hit. */
     std::uint64_t hits() const { return _hits; }
+    /** Probes that missed. */
     std::uint64_t misses() const { return _misses; }
+    /** Valid lines replaced by insert(). */
     std::uint64_t evictions() const { return _evictions; }
+    /** Evictions of dirty lines. */
     std::uint64_t writebacks() const { return _writebacks; }
 
     /**
@@ -87,6 +111,7 @@ class Cache
      * fields are constructor-computed and never serialized.
      */
     void save(serial::Writer &w) const;
+    /** Exact inverse of save(); fails the reader on another geometry. */
     void restore(serial::Reader &r);
 
   private:

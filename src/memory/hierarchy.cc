@@ -162,53 +162,46 @@ Hierarchy::warmAccess(AccessKind kind, Addr addr)
 }
 
 AccessResult
-Hierarchy::access(AccessKind kind, Initiator who, Addr addr, Cycle now)
+Hierarchy::accessMiss(AccessKind kind, Initiator who, Addr addr, Cycle now)
 {
     const bool is_inst = kind == AccessKind::kInstFetch;
-    const bool is_store = kind == AccessKind::kStore;
     Cache &l1 = is_inst ? _l1i : _l1d;
 
     AccessResult r{};
-    if (l1.access(addr, is_store)) {
+    // Merge into an in-flight fill of the same L1 line?
+    const Cycle due = fillDue(l1.lineAddr(addr), is_inst);
+    if (due != kNoFill) {
+        r.latency = static_cast<unsigned>(std::max<Cycle>(
+            l1.geometry().latency, due > now ? due - now : 0));
+        // Attribute to the L1 for stats: the long-latency portion was
+        // charged to the access that started the fill.
         r.level = MemLevel::kL1;
-        r.latency = l1.geometry().latency;
+        r.mergedInFlight = true;
     } else {
-        // Merge into an in-flight fill of the same L1 line?
-        const Cycle due = fillDue(l1.lineAddr(addr), is_inst);
-        if (due != kNoFill) {
-            r.latency = static_cast<unsigned>(
-                std::max<Cycle>(l1.geometry().latency,
-                                due > now ? due - now : 0));
-            // Attribute to the L1 for stats: the long-latency portion
-            // was charged to the access that started the fill.
-            r.level = MemLevel::kL1;
-            r.mergedInFlight = true;
-        } else {
-            r = missPath(kind, addr, is_inst, now);
-            if (kind == AccessKind::kLoad && _cfg.prefetchDegree > 0) {
-                // Next-line prefetch behind the demand miss.
-                const unsigned line = l1.geometry().lineBytes;
-                for (unsigned d = 1; d <= _cfg.prefetchDegree; ++d) {
-                    const Addr next =
-                        l1.lineAddr(addr) + static_cast<Addr>(d) * line;
-                    if (l1.contains(next) ||
-                        fillDue(l1.lineAddr(next), is_inst) != kNoFill) {
-                        continue;
-                    }
-                    ++_prefetches;
-                    // Probe the lower levels (LRU-touching, like a
-                    // real prefetch) and schedule the fill; no MSHR.
-                    unsigned lat;
-                    if (_l2.access(next, false))
-                        lat = _cfg.l2.latency;
-                    else if (_l3.access(next, false))
-                        lat = _cfg.l3.latency;
-                    else
-                        lat = _cfg.memoryLatency;
-                    scheduleFill(now + lat,
-                                 PendingFill{l1.lineAddr(next), is_inst,
-                                             false, MemLevel::kL1});
+        r = missPath(kind, addr, is_inst, now);
+        if (kind == AccessKind::kLoad && _cfg.prefetchDegree > 0) {
+            // Next-line prefetch behind the demand miss.
+            const unsigned line = l1.geometry().lineBytes;
+            for (unsigned d = 1; d <= _cfg.prefetchDegree; ++d) {
+                const Addr next =
+                    l1.lineAddr(addr) + static_cast<Addr>(d) * line;
+                if (l1.contains(next) ||
+                    fillDue(l1.lineAddr(next), is_inst) != kNoFill) {
+                    continue;
                 }
+                ++_prefetches;
+                // Probe the lower levels (LRU-touching, like a real
+                // prefetch) and schedule the fill; no MSHR.
+                unsigned lat;
+                if (_l2.access(next, false))
+                    lat = _cfg.l2.latency;
+                else if (_l3.access(next, false))
+                    lat = _cfg.l3.latency;
+                else
+                    lat = _cfg.memoryLatency;
+                scheduleFill(now + lat,
+                             PendingFill{l1.lineAddr(next), is_inst,
+                                         false, MemLevel::kL1});
             }
         }
     }

@@ -171,9 +171,21 @@ class Hierarchy
      * take an MSHR (a write buffer is assumed); they allocate lines
      * (write-allocate) and dirty them. Instruction fetches go through
      * the L1I and share L2/L3.
+     *
+     * An L1 hit, the common case of every fetch, load and store, is
+     * served here inline; a miss goes on to accessMiss().
      */
-    AccessResult access(AccessKind kind, Initiator who, Addr addr,
-                        Cycle now);
+    AccessResult
+    access(AccessKind kind, Initiator who, Addr addr, Cycle now)
+    {
+        const bool is_inst = kind == AccessKind::kInstFetch;
+        Cache &l1 = is_inst ? _l1i : _l1d;
+        if (!l1.access(addr, kind == AccessKind::kStore))
+            return accessMiss(kind, who, addr, now);
+        const AccessResult r{MemLevel::kL1, l1.geometry().latency};
+        (is_inst ? _instStats : _stats).record(who, r.level, r.latency);
+        return r;
+    }
 
     /**
      * Untimed warming access: probes and fills the tag hierarchy
@@ -233,6 +245,14 @@ class Hierarchy
         bool dirty;        ///< install dirty in the L1 (store fill)
         MemLevel from;     ///< level that supplied the line
     };
+
+    /**
+     * The rest of access() after its L1 probe missed (and counted the
+     * miss): merges into a fill in flight or takes the miss path, then
+     * records the access. Never probes the L1 again.
+     */
+    AccessResult accessMiss(AccessKind kind, Initiator who, Addr addr,
+                            Cycle now);
 
     /** Looks up levels below L1; schedules the fill; returns result. */
     AccessResult missPath(AccessKind kind, Addr addr, bool is_inst,

@@ -232,10 +232,22 @@ simulate(const isa::Program &prog, CpuKind kind,
 
     SimOutcome out = collectOutcome(*model, kind, run);
     if (session.attached()) {
-        out.metrics = std::make_shared<const MetricsRecord>(
-            session.harvest());
+        // A mutable record behind a const pointer: takePipeEvents()
+        // may move the events out of an unshared one.
+        out.metrics = std::make_shared<MetricsRecord>(session.harvest());
     }
     return out;
+}
+
+std::vector<cpu::PipeEvent>
+takePipeEvents(SimOutcome &outcome)
+{
+    ff_panic_if(outcome.metrics == nullptr ||
+                    outcome.metrics.use_count() != 1,
+                "takePipeEvents needs an unshared metrics record");
+    return std::move(
+        std::const_pointer_cast<MetricsRecord>(outcome.metrics)
+            ->pipeEvents);
 }
 
 FunctionalOutcome

@@ -104,6 +104,16 @@ SimOutcome collectOutcome(cpu::CpuModel &model, CpuKind kind,
                           const cpu::RunResult &run);
 
 /**
+ * Moves the recorded pipeline events out of @p outcome's metrics
+ * record, which keeps every other field: the trace builder then owns
+ * the one copy of a stream that can run to 100 MB. @p outcome must
+ * hold the only reference to its record, as a metered outcome fresh
+ * from runBatch() does (metered runs are never cached); panics
+ * otherwise.
+ */
+std::vector<cpu::PipeEvent> takePipeEvents(SimOutcome &outcome);
+
+/**
  * Renders @p outcome as gem5-style "group.stat value" lines, each
  * group in sorted order: the cycles, branch and mem groups every
  * kind shares, then the sections @p outcome's kind owns (baseline for

@@ -90,9 +90,9 @@ TEST(RegFile, FingerprintTracksContent)
 TEST(RegFile, SlotAccessors)
 {
     RegFile rf;
-    rf.setSlotValue(regSlot(intReg(9)), 1234);
+    rf.write(regSlot(intReg(9)), 1234);
     EXPECT_EQ(rf.read(intReg(9)), 1234u);
-    EXPECT_EQ(rf.slotValue(regSlot(intReg(9))), 1234u);
+    EXPECT_EQ(rf.read(regSlot(intReg(9))), 1234u);
 }
 
 TEST(RegFile, Reset)

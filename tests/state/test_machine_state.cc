@@ -192,7 +192,7 @@ TEST(MachineState, CheckpointCopiesOnlyDirtySlotsButAllOfThem)
     ms.regs.write(isa::intReg(2), 222);
     ms.checkpointRegsToRa();
     for (unsigned slot = 0; slot < kNumRegSlots; ++slot)
-        ASSERT_EQ(ms.raRegs.slotValue(slot), ms.regs.slotValue(slot));
+        ASSERT_EQ(ms.raRegs.read(slot), ms.regs.read(slot));
     EXPECT_FALSE(ms.regs.dirtyMask().any());
     EXPECT_FALSE(ms.raRegs.dirtyMask().any());
 
@@ -203,7 +203,7 @@ TEST(MachineState, CheckpointCopiesOnlyDirtySlotsButAllOfThem)
     ms.regs.write(isa::intReg(2), 333);
     ms.checkpointRegsToRa();
     for (unsigned slot = 0; slot < kNumRegSlots; ++slot)
-        ASSERT_EQ(ms.raRegs.slotValue(slot), ms.regs.slotValue(slot));
+        ASSERT_EQ(ms.raRegs.read(slot), ms.regs.read(slot));
     EXPECT_EQ(ms.raRegs.read(isa::intReg(2)), 333);
     EXPECT_EQ(ms.raRegs.read(isa::intReg(5)),
               ms.regs.read(isa::intReg(5)));

@@ -84,7 +84,7 @@ TEST(Feedback, QueueGrowsPastFirstCapacity)
         const DynId id = r;
         ms.afile.markDeferred(intReg(r), id); // feedback owns r
         ms.regs.write(intReg(r), 1000 + r);
-        fb.schedule(p.inst(r - 1), id, /*now=*/(r - 1) / 4);
+        fb.schedule(p.decoded(r - 1), id, /*now=*/(r - 1) / 4);
     }
     ASSERT_EQ(fb.size(), kRegs);
     fb.squashYoungerThan(kRegs - 4); // drops the last cycle's four

@@ -170,7 +170,7 @@ TEST(StageUnits, BDetFlushSquashesYoungerAndRepairsAfile)
     f.alat.allocate(6, 0x2000, 8);
     f.alat.allocate(9, 0x2008, 8);
     // An in-flight feedback update younger than the branch.
-    f.feedback.schedule(p.inst(0), 9, now);
+    f.feedback.schedule(p.decoded(0), 9, now);
     ASSERT_EQ(f.feedback.size(), 1u);
     // A halted A-pipe the flush must revive.
     f.ms.aHalted = true;
@@ -243,7 +243,7 @@ TEST(StageUnits, ConflictFlushClearsEverythingAndMarksRetry)
     f.cq.push(preExecutedEntry(2, 3));
     f.sbuf.insert(1, 0x1000, 8, 0xAA);
     f.alat.allocate(3, 0x2000, 8);
-    f.feedback.schedule(p.inst(1), 2, now);
+    f.feedback.schedule(p.decoded(1), 2, now);
     f.ms.aHalted = true;
 
     const CqEntry offender = f.cq.entry(2);
@@ -389,7 +389,7 @@ TEST(StageUnits, FeedbackAppliesAfterLatencyWhenDynIdMatches)
 
     f.bfile.write(intReg(1), 42);
     f.afile.markDeferred(intReg(1), 5);
-    f.feedback.schedule(p.inst(0), 5, now); // movi r1: dest r1
+    f.feedback.schedule(p.decoded(0), 5, now); // movi r1: dest r1
     ASSERT_EQ(f.feedback.size(), 1u);
 
     // Not due yet at the schedule cycle (latency 1).
@@ -413,7 +413,7 @@ TEST(StageUnits, FeedbackStaleUpdateIsDroppedByDynIdGate)
     // A younger instance (id 9) re-marked r1 after id 5 retired:
     // id 5's feedback must not revalidate the register.
     f.afile.markDeferred(intReg(1), 9);
-    f.feedback.schedule(p.inst(0), 5, 0);
+    f.feedback.schedule(p.decoded(0), 5, 0);
     f.feedback.apply(100);
 
     EXPECT_FALSE(f.afile.valid(intReg(1)));
@@ -428,7 +428,7 @@ TEST(StageUnits, FeedbackDisabledSchedulesNothing)
     cfg.feedbackEnabled = false;
     StageFixture f(p, cfg);
 
-    f.feedback.schedule(p.inst(0), 5, 0);
+    f.feedback.schedule(p.decoded(0), 5, 0);
     EXPECT_TRUE(f.feedback.empty());
 }
 
@@ -437,8 +437,8 @@ TEST(StageUnits, FeedbackSquashDropsOnlyYoungerUpdates)
     const Program p = stageProgram();
     StageFixture f(p);
 
-    f.feedback.schedule(p.inst(0), 5, 0); // r1, id 5
-    f.feedback.schedule(p.inst(1), 8, 0); // r2, id 8
+    f.feedback.schedule(p.decoded(0), 5, 0); // r1, id 5
+    f.feedback.schedule(p.decoded(1), 8, 0); // r2, id 8
     ASSERT_EQ(f.feedback.size(), 2u);
 
     f.feedback.squashYoungerThan(5);

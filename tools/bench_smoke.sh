@@ -12,13 +12,19 @@
 #     then three warm runs replay it; the median warm wall time, the
 #     cache hit/miss counts and the warm speedup are folded into the
 #     same BENCH_fig6.json record, and every warm table must stay
-#     bit-identical to the uncached serial run;
+#     bit-identical to the uncached serial run. The gate is on the
+#     cache's own cost: every warm run must hit every key, and the
+#     median warm wall must stay under a ceiling (0.35 s at scale 25,
+#     over 3x the ~0.11 s a warm pass takes on a shared 4-vCPU host);
 #  3. gate hot-path throughput (bench_tick) with a floor, and append
 #     its record to the same trajectory file;
 #  4. gate sampled simulation (bench_sampled): the sampled estimator
 #     must stay within 2% relative IPC error of full detailed
-#     simulation while running >= 3x faster on the fig6 suite, and
-#     the error/speedup record joins the same trajectory file;
+#     simulation on the fig6 suite, simulate in detail at most a
+#     third of the full sweep's cycles (a deterministic count), and
+#     spend at most a ceiling on its functional checkpoint passes
+#     (6 s at scale 1600, over 3x the ~1.7 s measured); the record,
+#     speedup included, joins the same trajectory file;
 #  5. emit a --profile --metrics-out JSON document for 181.mcf on
 #     every timed model and validate each against
 #     tools/metrics_schema.json, so the exported document and the
@@ -107,8 +113,12 @@ if ! diff -u "$serial" "$warm_table"; then
          "from the uncached serial tables" >&2
     exit 1
 fi
+# A fully warm pass answers every cell in the executor's serial cache
+# pass, so one job costs it nothing, while a lookup that simulated
+# anyway would pay for the whole sweep on one thread, far above the
+# ceiling below.
 for i in 1 2 3; do
-    FF_CACHE_DIR="$cache_dir" "$bench" --jobs "$jobs" \
+    FF_CACHE_DIR="$cache_dir" "$bench" --jobs 1 \
         --json "$warm_json" --warmup "$warmup_cycles" "$scale" \
         | grep -v '^\[engine\]' > "$warm_table"
     if ! diff -u "$serial" "$warm_table"; then
@@ -123,13 +133,18 @@ done
 
 # Gate the cached cold/warm measurement and fold it into the
 # throughput record, which then joins the trajectory.
-python3 - "$record" "$cold_json" "$warm_json" "${warm_walls[@]}" <<'EOF'
+python3 - "$record" "$cold_json" "$warm_json" "$scale" \
+    "${warm_walls[@]}" <<'EOF'
 import json
 import statistics
 import sys
 
 record_path, cold_path, warm_path = sys.argv[1], sys.argv[2], sys.argv[3]
-warm_walls = [float(w) for w in sys.argv[4:]]
+scale = int(sys.argv[4])
+warm_walls = [float(w) for w in sys.argv[5:]]
+# The warm pass builds the suite and hashes each image, both of which
+# grow with the scale; no simulation speed enters it.
+warm_ceiling = 0.35 * max(1.0, scale / 25)
 with open(record_path) as f:
     record = json.load(f)
 
@@ -151,9 +166,9 @@ print(f"bench_smoke: cached sweep cold {cold['wallSeconds']:.2f} s, "
       f"{warm['cacheMisses']} misses)")
 if warm["cacheMisses"] != 0 or warm["cacheHits"] != warm["sims"]:
     sys.exit("bench_smoke: FAIL — warm run was not fully cached")
-if speedup < 1.5:
-    sys.exit(f"bench_smoke: FAIL — warm speedup {speedup:.2f}x "
-             f"below the 1.5x floor")
+if median_warm > warm_ceiling:
+    sys.exit(f"bench_smoke: FAIL — warm median {median_warm:.3f} s "
+             f"above the {warm_ceiling:.2f} s ceiling")
 print(f"bench_smoke: fig6 {record['simCyclesPerSec']:.3g} "
       f"sim-cycles/s")
 with open(record_path, "w") as f:
@@ -205,13 +220,18 @@ append_record "$tick_json"
 
 # ---- sampled simulation gate (bench_sampled) -----------------------
 # bench_sampled runs the full fig6 suite twice — full detailed and
-# sampled — and reports the relative IPC error and wall-clock speedup
-# of the estimator. Gate both (error <= 2%, speedup >= 3x at the
-# default 32000:4000 config) and append the record to the trajectory
-# file. Scale 1600 is where the headline trade holds: long enough
-# that the detailed fraction is small, short enough for CI. Override
-# with FF_SAMPLED_SCALE; the cache must stay off for this section —
-# cache hits would time the cache, not the simulator.
+# sampled — and reports the relative IPC error, the wall-clock
+# speedup of the estimator, the cycles it simulates in detail and the
+# time of its functional checkpoint passes. Gate the error (<= 2% at
+# the default 32000:4000 config) and the sampler's own cost, not the
+# speedup, a ratio that falls whenever detailed simulation gets
+# faster: at most a third of the full sweep's cycles in detail, and
+# the checkpoint passes under a ceiling that grows with the scale.
+# Append the record to the trajectory file. Scale 1600 is where the
+# headline trade holds: long enough that the detailed fraction is
+# small, short enough for CI. Override with FF_SAMPLED_SCALE; the
+# cache must stay off for this section — cache hits would time the
+# cache, not the simulator.
 sampled_bench="$build_dir/bench/bench_sampled"
 sampled_scale="${FF_SAMPLED_SCALE:-1600}"
 if [ ! -x "$sampled_bench" ]; then
@@ -222,7 +242,7 @@ sampled_json="$(mktemp)"
 trap 'rm -rf "$serial" "$par" "$record" "$cache_dir" "$cold_json" \
          "$warm_json" "$warm_table" "$tick_json" "$sampled_json"' EXIT
 env -u FF_CACHE_DIR "$sampled_bench" --json "$sampled_json" \
-    --max-err 2.0 --min-speedup 3.0 "$sampled_scale" > /dev/null
+    --max-err 2.0 "$sampled_scale" > /dev/null
 python3 - "$sampled_json" <<'EOF'
 import json
 import sys
@@ -235,6 +255,19 @@ print(f"bench_smoke: sampled fig6 max err "
       f"{record['sampledSpeedup']}x over full detailed "
       f"({record['fullWallSeconds']:.2f} s -> "
       f"{record['sampledWallSeconds']:.2f} s)")
+detailed, full = record["detailedCycles"], record["fullCycles"]
+plan_ceiling = 6.0 * max(1.0, record["scale"] / 1600)
+print(f"bench_smoke: sampler simulated {detailed} of {full} cycles in "
+      f"detail ({100.0 * detailed / full:.1f}%, at most 33.3%); "
+      f"checkpoint passes {record['planSeconds']:.2f} s "
+      f"(ceiling {plan_ceiling:.1f} s)")
+if 3 * detailed > full:
+    sys.exit("bench_smoke: FAIL — the sampler simulated more than a "
+             "third of the full sweep's cycles in detail")
+if record["planSeconds"] > plan_ceiling:
+    sys.exit(f"bench_smoke: FAIL — checkpoint passes took "
+             f"{record['planSeconds']:.2f} s, above the "
+             f"{plan_ceiling:.1f} s ceiling")
 EOF
 append_record "$sampled_json"
 

@@ -64,7 +64,9 @@ struct FlagSpec
 constexpr FlagSpec kFlags[] = {
     {"--model", ArgKind::kRequired, "KIND",
      "functional|base|2P|2Pre|runahead (default functional, or 2P "
-     "when --profile/--metrics-out is given)"},
+     "when --stats/--profile/--metrics-out is given); the functional "
+     "model refuses --max-cycles and the machine options --cq through "
+     "--regroup"},
     {"--workload", ArgKind::kRequired, "NAME",
      "simulate a bundled Table 2 workload instead of assembling a "
      ".s file"},
@@ -80,8 +82,8 @@ constexpr FlagSpec kFlags[] = {
     {"--stats", ArgKind::kNone, nullptr,
      "print the model's full statistics dump"},
     {"--max-cycles", ArgKind::kRequired, "N",
-     "simulation budget (default 400M); a timed run that does not "
-     "halt within it fails"},
+     "simulation budget of a timed run (default 400M); a run that "
+     "does not halt within it fails"},
     {"--sample", ArgKind::kRequired, "INTERVAL[:DETAIL[:WARMUP]]",
      "sampled simulation: functional checkpoints every INTERVAL "
      "retired slots, parallel detailed replay of DETAIL-slot "
@@ -200,6 +202,10 @@ main(int argc, char **argv)
     sim::SampledOptions sopt;
     cpu::CoreConfig cfg = sim::table1Config();
 
+    // The budget and the machine options mean nothing to the
+    // functional model; the first one given names the refusal.
+    std::string timed_only_flag;
+
     for (int i = 1; i < argc; ++i) {
         const std::string a = argv[i];
         if (a.empty() || a[0] != '-') {
@@ -238,6 +244,13 @@ main(int argc, char **argv)
         auto num = [&]() { return cli::parseNumber<unsigned>(name, v); };
 
         const std::string n = name;
+        for (const char *t :
+             {"--max-cycles", "--cq", "--alat", "--feedback", "--prefetch",
+              "--mem-lat", "--throttle", "--predictor", "--no-fp-units",
+              "--regroup"}) {
+            if (n == t && timed_only_flag.empty())
+                timed_only_flag = n;
+        }
         if (n == "--help") {
             usage(argv[0], 0);
         } else if (n == "--dump-flags") {
@@ -340,25 +353,29 @@ main(int argc, char **argv)
         do_profile || (!metrics_out.empty() && !sopt.enabled());
     mopt.telemetry = !metrics_out.empty() && !sopt.enabled();
     mopt.pipeview = do_pipeview || !trace_out.empty();
-    ff_fatal_if((mopt.enabled() || sopt.enabled()) &&
-                    model == "functional",
-                "--profile/--metrics-out/--pipeview/--trace-out/"
-                "--sample need a timed model (--model "
+    const bool timed = do_stats || mopt.enabled() || sopt.enabled();
+    ff_fatal_if(timed && model == "functional",
+                "--stats/--profile/--metrics-out/--pipeview/"
+                "--trace-out/--sample need a timed model (--model "
                 "base|2P|2Pre|runahead)");
     if (model.empty()) {
-        // Metrics only exist on timed models, so asking for them
-        // picks the paper's machine rather than dying on the
-        // functional default; --sample follows the same convention.
-        model = mopt.enabled() || sopt.enabled() ? "2P" : "functional";
+        // Statistics and metrics only exist on timed models, so
+        // asking for them picks the paper's machine rather than
+        // dying on the functional default; --sample follows the same
+        // convention.
+        model = timed ? "2P" : "functional";
         if (sopt.enabled())
             std::fprintf(stderr, "note: --sample without --model: "
                                  "using the two-pass model (2P)\n");
-        else if (mopt.enabled())
+        else if (timed)
             std::fprintf(stderr,
-                         "note: --profile/--metrics-out/--pipeview/"
-                         "--trace-out without --model: using the "
-                         "two-pass model (2P)\n");
+                         "note: --stats/--profile/--metrics-out/"
+                         "--pipeview/--trace-out without --model: "
+                         "using the two-pass model (2P)\n");
     }
+    ff_fatal_if(model == "functional" && !timed_only_flag.empty(),
+                timed_only_flag, " needs a timed model (--model "
+                "base|2P|2Pre|runahead)");
     if (!trace_out.empty()) {
         // Start the engine recorder before program build so workload
         // construction and verification land on the timeline too.
@@ -462,7 +479,8 @@ main(int argc, char **argv)
     job.maxCycles = max_cycles;
     job.metrics = mopt;
     job.sampled = sopt;
-    const sim::SimOutcome out = sim::runBatch(std::span(&job, 1))[0];
+    sim::SimOutcome out =
+        std::move(sim::runBatch(std::span(&job, 1)).front());
 
     if (out.sampled != nullptr) {
         const sim::SampledEstimate &e = *out.sampled;
@@ -511,9 +529,10 @@ main(int argc, char **argv)
         std::printf("metrics: wrote %s\n", metrics_out.c_str());
     }
     if (mopt.pipeview) {
-        sim::PipeTrace pt = sim::buildPipeTrace(
-            prog, cfg, kind, out.run.cycles, out.metrics->pipeEvents,
-            out.metrics->pipeDropped, path);
+        const std::uint64_t dropped = out.metrics->pipeDropped;
+        sim::PipeTrace pt =
+            sim::buildPipeTrace(prog, cfg, kind, out.run.cycles,
+                                sim::takePipeEvents(out), dropped, path);
         if (!trace_out.empty()) {
             pt.engine = engine::traceStop();
             const std::vector<std::uint8_t> bytes =
