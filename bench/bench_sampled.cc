@@ -10,14 +10,14 @@
  *
  * Usage: bench_sampled [--jobs N] [--json FILE]
  *                      [--sample INTERVAL[:DETAIL[:WARMUP]]]
- *                      [--max-err PCT] [--min-speedup X]
- *                      [scale-percent]
+ *                      [--max-err PCT] [scale-percent]
  * (default scale 100 and sampling config 32000:4000; --max-err makes
  * the run fail if any workload x model relative IPC error exceeds PCT
- * — the sampled_accuracy CI gate; --min-speedup likewise gates the
- * aggregate wall-clock speedup; --json writes a machine-readable
+ * — the sampled_accuracy CI gate; --json writes a machine-readable
  * record for BENCH_fig6.json, from which tools/bench_smoke.sh gates
- * the sampler's own cost.)
+ * the sampler's own cost. The speedup is printed, not gated: it is a
+ * ratio to detailed simulation, so it moves whenever that gets
+ * faster.)
  *
  * Timing note: both sweeps run through the same engine at the same
  * job count, so the reported speedup isolates the sampling estimator.
@@ -58,7 +58,6 @@ main(int argc, char **argv)
     sopt.intervalCycles = 32000;
     sopt.detailCycles = 4000;
     double max_err_pct = 0.0;    // 0 = no accuracy gate
-    double min_speedup = 0.0;    // 0 = no throughput gate
     {
         int out = 1;
         for (int i = 1; i < argc; ++i) {
@@ -70,9 +69,6 @@ main(int argc, char **argv)
             else if (std::strcmp(argv[i], "--max-err") == 0 &&
                      i + 1 < argc)
                 max_err_pct = cli::parseReal("--max-err", argv[++i]);
-            else if (std::strcmp(argv[i], "--min-speedup") == 0 &&
-                     i + 1 < argc)
-                min_speedup = cli::parseReal("--min-speedup", argv[++i]);
             else
                 argv[out++] = argv[i];
         }
@@ -222,20 +218,12 @@ main(int argc, char **argv)
         std::fclose(f);
     }
 
-    bool fail = false;
     if (max_err_pct > 0.0 && 100.0 * max_err > max_err_pct) {
         std::fprintf(stderr,
                      "bench_sampled: FAIL — max relative IPC error "
                      "%.3f%% (%s) exceeds the %.2f%% gate\n",
                      100.0 * max_err, worst.c_str(), max_err_pct);
-        fail = true;
+        return 1;
     }
-    if (min_speedup > 0.0 && speedup < min_speedup) {
-        std::fprintf(stderr,
-                     "bench_sampled: FAIL — sampled speedup %.2fx "
-                     "below the %.2fx gate\n",
-                     speedup, min_speedup);
-        fail = true;
-    }
-    return fail ? 1 : 0;
+    return 0;
 }

@@ -19,14 +19,13 @@ BimodalPredictor::BimodalPredictor(unsigned entries)
                 "bimodal table size must be a power of two");
 }
 
-Prediction
-BimodalPredictor::predict(Addr pc)
+void
+BimodalPredictor::predictInto(Addr pc, Prediction &p)
 {
     ++_stats.lookups;
-    Prediction p;
+    p = Prediction{};
     p.index = static_cast<std::uint32_t>((pc >> 4) & _mask);
     p.taken = _table[p.index] >= 2;
-    return p;
 }
 
 void
@@ -83,14 +82,14 @@ TournamentPredictor::TournamentPredictor(unsigned entries)
 {
 }
 
-Prediction
-TournamentPredictor::predict(Addr pc)
+void
+TournamentPredictor::predictInto(Addr pc, Prediction &p)
 {
     ++_stats.lookups;
     const Prediction g = _gshare.predict(pc);
     const Prediction b = _bimodal.predict(pc);
 
-    Prediction p;
+    p = Prediction{};
     p.chooserIndex = static_cast<std::uint32_t>((pc >> 4) & _mask);
     p.usedComponent2 = _chooser[p.chooserIndex] < 2; // 2 = bimodal
     // Primary slot carries gshare's state, secondary bimodal's.
@@ -100,7 +99,6 @@ TournamentPredictor::predict(Addr pc)
     p.index2 = b.index;
     p.component2Taken = b.taken;
     p.taken = p.usedComponent2 ? b.taken : g.taken;
-    return p;
 }
 
 void

@@ -23,7 +23,7 @@ class BimodalPredictor : public DirectionPredictor
   public:
     explicit BimodalPredictor(unsigned entries = 1024);
 
-    Prediction predict(Addr pc) override;
+    void predictInto(Addr pc, Prediction &p) override;
     void update(const Prediction &p, bool taken) override;
     void reset() override;
 
@@ -45,7 +45,7 @@ class TournamentPredictor : public DirectionPredictor
   public:
     explicit TournamentPredictor(unsigned entries = 1024);
 
-    Prediction predict(Addr pc) override;
+    void predictInto(Addr pc, Prediction &p) override;
     void update(const Prediction &p, bool taken) override;
     void reset() override;
 

@@ -15,18 +15,17 @@ GsharePredictor::GsharePredictor(unsigned entries)
                 "gshare table size must be a power of two");
 }
 
-Prediction
-GsharePredictor::predict(Addr pc)
+void
+GsharePredictor::predictInto(Addr pc, Prediction &p)
 {
     ++_stats.lookups;
-    Prediction p;
+    p = Prediction{};
     p.historyBefore = _history;
     // Instruction addresses step by 16 bytes; drop the low bits
     // before folding in history.
     p.index = static_cast<std::uint32_t>(((pc >> 4) ^ _history) & _mask);
     p.taken = _table[p.index] >= 2;
     _history = ((_history << 1) | (p.taken ? 1 : 0)) & _mask;
-    return p;
 }
 
 void

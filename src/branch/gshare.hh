@@ -36,7 +36,7 @@ class GsharePredictor : public DirectionPredictor
     explicit GsharePredictor(unsigned entries = 1024);
 
     /** Predicts the branch at @p pc; shifts speculative history. */
-    Prediction predict(Addr pc) override;
+    void predictInto(Addr pc, Prediction &p) override;
 
     /**
      * Trains on the resolved outcome; on a misprediction, restores

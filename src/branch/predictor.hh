@@ -25,9 +25,10 @@ namespace branch
 /** Prediction statistics. */
 struct PredictorStats
 {
-    std::uint64_t lookups = 0;
-    std::uint64_t mispredicts = 0;
+    std::uint64_t lookups = 0;     ///< predictions made
+    std::uint64_t mispredicts = 0; ///< resolutions against the guess
 
+    /** Zeroes both counters. */
     void reset() { *this = PredictorStats(); }
 };
 
@@ -52,15 +53,18 @@ restoreStats(serial::Reader &r, PredictorStats &s)
 
 /**
  * Token returned at predict time and surrendered at resolve time.
- * Components unused by a given predictor stay zero.
+ * Components unused by a given predictor stay zero. The members are
+ * ordered widest first, so the token is 24 bytes with no padding: an
+ * assignment copies 16 and 8 bytes, never two overlapping 16-byte
+ * halves, which a load cannot take from the stores that wrote them.
  */
 struct Prediction
 {
-    bool taken = false;
-    std::uint32_t index = 0;          ///< primary counter consulted
     std::uint64_t historyBefore = 0;  ///< history before this branch
+    std::uint32_t index = 0;          ///< primary counter consulted
     std::uint32_t index2 = 0;         ///< secondary counter (tournament)
     std::uint32_t chooserIndex = 0;   ///< chooser entry (tournament)
+    bool taken = false;               ///< the predicted direction
     bool component1Taken = false;     ///< primary's own prediction
     bool component2Taken = false;     ///< secondary's prediction
     bool usedComponent2 = false;      ///< chooser picked the secondary
@@ -80,6 +84,7 @@ savePrediction(serial::Writer &w, const Prediction &p)
     w.boolean(p.usedComponent2);
 }
 
+/** Reads back what savePrediction() wrote into @p p. */
 inline void
 restorePrediction(serial::Reader &r, Prediction &p)
 {
@@ -97,10 +102,25 @@ restorePrediction(serial::Reader &r, Prediction &p)
 class DirectionPredictor
 {
   public:
+    /** Predictors are owned and destroyed through this interface. */
     virtual ~DirectionPredictor() = default;
 
-    /** Predicts the branch at @p pc; shifts speculative state. */
-    virtual Prediction predict(Addr pc) = 0;
+    /**
+     * Predicts the branch at @p pc into @p p, writing every member;
+     * shifts speculative state. The front end passes the token's home
+     * in its fetched-group slot, so no token is staged on the stack
+     * and copied there.
+     */
+    virtual void predictInto(Addr pc, Prediction &p) = 0;
+
+    /** predictInto() on a fresh token, returned by value. */
+    Prediction
+    predict(Addr pc)
+    {
+        Prediction p;
+        predictInto(pc, p);
+        return p;
+    }
 
     /**
      * Trains on the resolved outcome and repairs speculative state
@@ -109,7 +129,10 @@ class DirectionPredictor
      */
     virtual void update(const Prediction &p, bool taken) = 0;
 
+    /** The lookup and misprediction counters. */
     virtual const PredictorStats &stats() const { return _stats; }
+    /** Returns the tables, speculative state and counters to a new
+     *  predictor's. */
     virtual void reset() = 0;
 
     /**
@@ -124,6 +147,7 @@ class DirectionPredictor
         ff_panic("predictor does not support snapshots");
     }
 
+    /** Exact inverse of save(); panics by default, as save() does. */
     virtual void
     restore(serial::Reader &r)
     {
@@ -132,7 +156,7 @@ class DirectionPredictor
     }
 
   protected:
-    PredictorStats _stats;
+    PredictorStats _stats; ///< kept by every predictor's predictInto()
 };
 
 /** Which predictor to build (CoreConfig::predictorKind). */
@@ -143,6 +167,7 @@ enum class PredictorKind
     kTournament, ///< bimodal + gshare + PC-indexed chooser
 };
 
+/** The lower-case name of @p k: "gshare", "bimodal" or "tournament". */
 const char *predictorKindName(PredictorKind k);
 
 /** Builds a predictor of @p kind with @p entries counters/table. */

@@ -130,9 +130,11 @@ fpCompare(isa::CmpCond c, double a, double b)
  * @p s2 must already be the immediate when src2IsImm is set (callers
  * use operandSrc2()). For loads the caller performs the memory read
  * and applies loadExtend(); evaluate() only computes the address.
- * Inline: every engine calls it for every executed slot.
+ * Always inlined: every engine calls it for every executed slot, and
+ * gcc at -O2 kept a plain inline function out of line in each engine,
+ * so every slot paid a call and read its EvalResult back from memory.
  */
-inline EvalResult
+[[gnu::always_inline]] inline EvalResult
 evaluate(const isa::Instruction &in, bool qpred, RegVal s1, RegVal s2)
 {
     using detail::asDouble;

@@ -35,9 +35,7 @@ FrontEnd::tick(Cycle now)
 
     // The one bounds check of the group: every stage downstream reads
     // the decoded table of [leader, end) unchecked.
-    FetchedGroup g;
-    g.leader = _pc;
-    g.end = _prog.groupEnd(_pc);
+    const InstIdx end = _prog.groupEnd(_pc);
 
     const Addr fetch_addr = isa::Program::instAddr(_pc);
     const memory::AccessResult icache = _mem.access(
@@ -45,24 +43,24 @@ FrontEnd::tick(Cycle now)
     const unsigned l1i_lat = _mem.config().l1i.latency;
     const unsigned extra =
         icache.latency > l1i_lat ? icache.latency - l1i_lat : 0;
-    g.readyAt = now + _cfg.frontEndDepth + extra;
     _stats.icacheMissCycles += extra;
 
-    // Decode-time branch handling: branches are group-final.
-    const isa::Decoded &last = _prog.decoded(g.end - 1);
-    if (last.isBranch()) {
-        g.hasBranch = true;
-        g.prediction = _pred.predict(isa::Program::instAddr(g.end - 1));
-        g.predictedTaken = g.prediction.taken;
-        g.predictedNext =
-            g.predictedTaken
-                ? static_cast<InstIdx>(_prog.insts()[g.end - 1].imm)
-                : g.end;
-    } else {
-        g.predictedNext = g.end;
+    // The group is built in its ring slot, and a branch's prediction
+    // is written there by the predictor: copying in a record just
+    // filled on the stack stalls the host's loads on the pending
+    // stores. Decode-time branch handling: branches are group-final.
+    const isa::Decoded &last = _prog.decoded(end - 1);
+    FetchedGroup &g =
+        _queue.emplace_back(_pc, end, now + _cfg.frontEndDepth + extra,
+                            last.isBranch(), false, end);
+    if (g.hasBranch) {
+        _pred.predictInto(isa::Program::instAddr(end - 1), g.prediction);
+        if (g.prediction.taken) {
+            g.predictedTaken = true;
+            g.predictedNext =
+                static_cast<InstIdx>(_prog.insts()[end - 1].imm);
+        }
     }
-
-    _queue.push_back(g);
     ++_stats.groupsFetched;
 
     if (last.groupHasHalt() || g.predictedNext >= _prog.size()) {
@@ -126,7 +124,7 @@ FrontEnd::restore(serial::Reader &r)
         g.predictedTaken = r.boolean();
         g.predictedNext = r.u32();
         branch::restorePrediction(r, g.prediction);
-        _queue.push_back(g);
+        _queue.emplace_back(g);
     }
     _pc = r.u32();
     _pcValid = r.boolean();

@@ -103,7 +103,11 @@ class FrontEnd
 
     /** The oldest fetched group; the queue must not be empty. */
     const FetchedGroup &head() const { return _queue.front(); }
-    /** Consumes the oldest fetched group. */
+    /**
+     * Consumes the oldest fetched group. Its ring slot is not written
+     * again before the next tick(), so a head() reference taken before
+     * stays readable across pop() and redirect() until then.
+     */
     void pop() { _queue.pop_front(); }
 
     /**

@@ -56,7 +56,9 @@ APipe::step(Cycle now)
             return;
         }
     }
-    const FetchedGroup g = _ctx.fe.head();
+    // Read in place: the group stays in its ring slot through the pop
+    // and any A-DET redirect below (FrontEnd::pop()).
+    const FetchedGroup &g = _ctx.fe.head();
     if (_ctx.ms.cq.freeSlots() <
         static_cast<std::size_t>(g.end - g.leader)) {
         _hold = Hold::kCqFull;
@@ -249,7 +251,7 @@ APipe::dispatchGroup(const FetchedGroup &g, Cycle now)
             .actualTaken = is_branch && !is_deferred && qp,
             .predictedTaken = is_branch && g.predictedTaken,
             .fallthrough = is_branch ? g.end : 0,
-            .prediction = is_branch ? g.prediction : branch::Prediction{},
+            .prediction = g.prediction, // kept for branch entries only
         });
     }
 }

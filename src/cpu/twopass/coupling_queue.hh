@@ -8,18 +8,22 @@
  * the first time in the B-pipe.
  *
  * Storage is a structure-of-arrays ring: each logical field lives in
- * its own dense array indexed head+i, and the ten per-entry booleans
- * are packed into one flag word. The B-pipe's prescan and regrouping
- * loops read two or three fields per entry per cycle; with the old
- * array-of-structs deque every such read dragged a whole ~100-byte
- * entry through the cache. CqEntry remains as the staging record used
- * to enqueue and the by-value view returned by entry(); there is
+ * its own dense array, and the ten per-entry booleans are packed into
+ * one flag word. The arrays are a power of two long, so logical entry
+ * i sits at (head + i) & mask; the logical capacity alone decides
+ * full() and is what a snapshot records. The B-pipe's prescan and
+ * regrouping loops read two or three fields per entry per cycle; with
+ * the old array-of-structs deque every such read dragged a whole
+ * ~100-byte entry through the cache. CqEntry is the record push()
+ * takes, always inlined so the A-pipe's entry never passes through
+ * memory, and the by-value view returned by entry(); there is
  * deliberately no reference-returning accessor.
  */
 
 #ifndef FF_CPU_TWOPASS_COUPLING_QUEUE_HH
 #define FF_CPU_TWOPASS_COUPLING_QUEUE_HH
 
+#include <bit>
 #include <vector>
 
 #include "branch/gshare.hh"
@@ -44,7 +48,7 @@ enum class CqStatus : std::uint8_t
 // DeferReason lives in cpu/model_stats.hh so the core layer's
 // observer seam can name it without depending on two-pass headers.
 
-/** One CQ entry with its CRS payload (staging/view record). */
+/** One CQ entry with its CRS payload: push()'s argument, entry()'s view. */
 struct CqEntry
 {
     InstIdx idx = 0;       ///< static instruction index
@@ -75,33 +79,52 @@ struct CqEntry
     bool actualTaken = false;     ///< valid when resolved in A
     bool predictedTaken = false;
     InstIdx fallthrough = 0;      ///< next leader when not taken
-    branch::Prediction prediction{};
+    branch::Prediction prediction{}; ///< kept for branch entries only
 };
 
 /** The bounded, flushable instruction FIFO between the pipes. */
 class CouplingQueue
 {
   public:
+    /** @param capacity entries held; each array rounds it up to a
+     *  power of two */
     explicit CouplingQueue(std::size_t capacity)
-        : _idx(capacity), _id(capacity), _enq(capacity), _status(capacity),
-          _reason(capacity), _flags(capacity), _dstVal(capacity),
-          _dst2Val(capacity), _readyAt(capacity), _addr(capacity),
-          _size(capacity), _fallthrough(capacity), _prediction(capacity),
-          _cap(capacity)
+        : _idx(std::bit_ceil(capacity)), _id(_idx.size()),
+          _enq(_idx.size()), _status(_idx.size()), _reason(_idx.size()),
+          _flags(_idx.size()), _dstVal(_idx.size()),
+          _dst2Val(_idx.size()), _readyAt(_idx.size()),
+          _addr(_idx.size()), _size(_idx.size()),
+          _fallthrough(_idx.size()), _prediction(_idx.size()),
+          _cap(capacity), _mask(_idx.size() - 1)
     {
     }
 
+    /** True if no entry is queued. */
     bool empty() const { return _count == 0; }
+    /** True if capacity() entries are queued. */
     bool full() const { return _count == _cap; }
+    /** Entries queued. */
     std::size_t size() const { return _count; }
+    /** Entries push() can still take. */
     std::size_t freeSlots() const { return _cap - _count; }
+    /** The logical capacity the queue was built with. */
     std::size_t capacity() const { return _cap; }
 
-    void
+    /**
+     * Appends @p e, scattering it into the field arrays; the queue
+     * must not be full. A branch entry's prediction is stored, any
+     * other entry's is not (its slot may keep a stale token, which
+     * entry() never returns). Always inlined: called out of line, the
+     * A-pipe's entry had to be built in memory and then reloaded,
+     * stalling the host's loads on the pending stores.
+     */
+    [[gnu::always_inline]] void
     push(const CqEntry &e)
     {
         ff_panic_if(full(), "push to full fifo");
         const std::size_t p = phys(_count++);
+        if (e.isBranch)
+            _prediction[p] = e.prediction;
         _idx[p] = e.idx;
         _id[p] = e.id;
         _enq[p] = e.enqueuedAt;
@@ -114,7 +137,6 @@ class CouplingQueue
         _addr[p] = e.addr;
         _size[p] = e.size;
         _fallthrough[p] = e.fallthrough;
-        _prediction[p] = e.prediction;
         if (e.status == CqStatus::kDeferred && e.isStore)
             ++_deferredStores;
     }
@@ -166,6 +188,7 @@ class CouplingQueue
     Cycle readyAt(std::size_t i) const { return _readyAt[phys(i)]; }
     Addr addr(std::size_t i) const { return _addr[phys(i)]; }
     InstIdx fallthrough(std::size_t i) const { return _fallthrough[phys(i)]; }
+    /** The prediction of entry @p i, which must be a branch entry. */
     const branch::Prediction &
     prediction(std::size_t i) const
     {
@@ -201,7 +224,8 @@ class CouplingQueue
         e.addr = _addr[p];
         e.size = _size[p];
         e.fallthrough = _fallthrough[p];
-        e.prediction = _prediction[p];
+        if (e.isBranch)
+            e.prediction = _prediction[p];
         return e;
     }
 
@@ -211,7 +235,7 @@ class CouplingQueue
         ff_panic_if(empty(), "pop of empty fifo");
         if (deferred(0) && isStore(0))
             --_deferredStores;
-        _head = _head + 1 == _cap ? 0 : _head + 1;
+        _head = (_head + 1) & _mask;
         --_count;
     }
 
@@ -355,19 +379,15 @@ class CouplingQueue
     }
 
     /** Physical array index of logical entry @p i. */
-    std::size_t
-    phys(std::size_t i) const
-    {
-        const std::size_t p = _head + i;
-        return p >= _cap ? p - _cap : p;
-    }
+    std::size_t phys(std::size_t i) const { return (_head + i) & _mask; }
 
     bool flag(std::size_t i, std::uint16_t bit) const
     {
         return (_flags[phys(i)] & bit) != 0;
     }
 
-    // One dense array per logical field, ring-indexed by _head/_count.
+    // One dense array per logical field, ring-indexed by _head/_count;
+    // each is _mask + 1 long.
     std::vector<InstIdx> _idx;
     std::vector<DynId> _id;
     std::vector<Cycle> _enq;
@@ -382,7 +402,8 @@ class CouplingQueue
     std::vector<InstIdx> _fallthrough;
     std::vector<branch::Prediction> _prediction;
 
-    std::size_t _cap;
+    std::size_t _cap;  ///< logical capacity
+    std::size_t _mask; ///< the arrays' length - 1
     std::size_t _head = 0;
     std::size_t _count = 0;
     unsigned _deferredStores = 0;

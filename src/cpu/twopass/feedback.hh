@@ -52,8 +52,8 @@ class FeedbackPath
         if (!_cfg.feedbackEnabled)
             return;
         for (unsigned k = 0; k < d.numDsts; ++k) {
-            _q.push_back({d.dst[k], _ms.regs.read(d.dst[k]), id,
-                          now + _cfg.feedbackLatency});
+            _q.emplace_back(d.dst[k], _ms.regs.read(d.dst[k]), id,
+                            now + _cfg.feedbackLatency);
         }
     }
 
@@ -121,7 +121,7 @@ class FeedbackPath
             p.value = r.u64();
             p.id = r.u64();
             p.applyAt = r.u64();
-            _q.push_back(p);
+            _q.emplace_back(p);
         }
     }
 

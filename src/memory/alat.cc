@@ -43,7 +43,7 @@ Alat::allocate(DynId id, Addr addr, unsigned size)
     ff_panic_if(!_slots.empty() && _slots.back().id >= id,
                 "ALAT allocations out of order: ", id, " after ",
                 _slots.back().id);
-    _slots.push_back({id, addr, size, true});
+    _slots.emplace_back(id, addr, size, true);
     ++_live;
 }
 

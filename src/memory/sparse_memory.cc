@@ -1,6 +1,7 @@
 #include "memory/sparse_memory.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <vector>
 
@@ -48,21 +49,37 @@ SparseMemory::writeByte(Addr a, std::uint8_t v)
     pageFor(a).bytes[a % kPageBytes] = v;
 }
 
+// A value's bytes are its little-endian encoding, so an in-page
+// access copies them straight between the page and the value.
+static_assert(std::endian::native == std::endian::little,
+              "SparseMemory copies values in host byte order");
+
 std::uint64_t
 SparseMemory::read(Addr a, unsigned size) const
 {
     ff_panic_if(size > 8, "oversized memory read");
     // Fast path: the access stays inside one page, so one page lookup
-    // serves every byte (the byte loop below costs a hash probe per
-    // byte, and this is the simulator-wide load path).
+    // and one copy serve every byte (the byte loop below costs a hash
+    // probe per byte, and this is the simulator-wide load path).
     if (size > 0 && a / kPageBytes == (a + size - 1) / kPageBytes) {
         const Page *p = findPage(a);
         if (p == nullptr)
             return 0;
         const std::uint8_t *b = p->bytes.data() + a % kPageBytes;
+        // Timed loads are 8 or 4 bytes: a fixed-width copy is one
+        // load, where a variable-width one is a call or a loop.
+        if (size == 8) {
+            std::uint64_t v;
+            std::memcpy(&v, b, 8);
+            return v;
+        }
+        if (size == 4) {
+            std::uint32_t v;
+            std::memcpy(&v, b, 4);
+            return v;
+        }
         std::uint64_t v = 0;
-        for (unsigned i = 0; i < size; ++i)
-            v |= static_cast<std::uint64_t>(b[i]) << (8 * i);
+        std::memcpy(&v, b, size);
         return v;
     }
     std::uint64_t v = 0;
@@ -77,8 +94,14 @@ SparseMemory::write(Addr a, std::uint64_t v, unsigned size)
     ff_panic_if(size > 8, "oversized memory write");
     if (size > 0 && a / kPageBytes == (a + size - 1) / kPageBytes) {
         std::uint8_t *b = &pageFor(a).bytes[a % kPageBytes];
-        for (unsigned i = 0; i < size; ++i)
-            b[i] = static_cast<std::uint8_t>(v >> (8 * i));
+        if (size == 8) {
+            std::memcpy(b, &v, 8);
+        } else if (size == 4) {
+            const auto w = static_cast<std::uint32_t>(v);
+            std::memcpy(b, &w, 4);
+        } else {
+            std::memcpy(b, &v, size);
+        }
         return;
     }
     for (unsigned i = 0; i < size; ++i)

@@ -58,23 +58,39 @@ rangesOverlap(Addr a, unsigned a_size, Addr b, unsigned b_size)
 class SparseMemory
 {
   public:
+    /** Bytes per page, the unit of allocation and copy-on-write. */
     static constexpr Addr kPageBytes = 4096;
 
+    /** An address space in which every byte reads as zero. */
     SparseMemory() = default;
 
+    /** The byte at @p a (zero if its page was never written). */
     std::uint8_t readByte(Addr a) const;
+    /** Stores @p v at @p a, allocating or cloning its page. */
     void writeByte(Addr a, std::uint8_t v);
 
-    /** Little-endian multi-byte accessors. @p size in {1,2,4,8}. */
+    /**
+     * The @p size bytes from @p a as a little-endian value, zero-
+     * extended; @p size is at most 8 (more panics). An access within
+     * one page is one page lookup and one copy.
+     */
     std::uint64_t read(Addr a, unsigned size) const;
+    /**
+     * Stores the low @p size bytes of @p v at @p a, little-endian;
+     * @p size is at most 8 (more panics).
+     */
     void write(Addr a, std::uint64_t v, unsigned size);
 
+    /** read(a, 8). */
     std::uint64_t read64(Addr a) const { return read(a, 8); }
+    /** read(a, 4), truncated to 32 bits. */
     std::uint32_t read32(Addr a) const
     {
         return static_cast<std::uint32_t>(read(a, 4));
     }
+    /** write(a, v, 8). */
     void write64(Addr a, std::uint64_t v) { write(a, v, 8); }
+    /** write(a, v, 4). */
     void write32(Addr a, std::uint32_t v) { write(a, v, 4); }
 
     /** Copies @p len raw bytes from @p src to addresses @p a onward. */
@@ -92,6 +108,7 @@ class SparseMemory
      */
     std::uint64_t fingerprint() const;
 
+    /** Pages allocated so far (written, restored or copied in). */
     std::size_t touchedPages() const { return _pages.size(); }
 
     /**
@@ -115,6 +132,7 @@ class SparseMemory
      * number reuses that page (copy-on-write) instead of a new copy.
      */
     void save(serial::Writer &w) const;
+    /** Inverse of save(); see there for @p share and the checks. */
     void restore(serial::Reader &r, const SparseMemory *share = nullptr);
 
   private:

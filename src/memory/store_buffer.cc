@@ -14,7 +14,7 @@ StoreBuffer::insert(DynId id, Addr addr, unsigned size,
     ff_panic_if(full(), "store buffer overflow (caller must check)");
     ff_panic_if(!_entries.empty() && _entries.back().id >= id,
                 "store buffer entries out of order");
-    _entries.push_back({id, addr, size, value});
+    _entries.emplace_back(id, addr, size, value);
 }
 
 std::uint64_t

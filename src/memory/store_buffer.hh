@@ -111,7 +111,7 @@ class StoreBuffer
             e.addr = r.u64();
             e.size = r.u32();
             e.value = r.u64();
-            _entries.push_back(e);
+            _entries.emplace_back(e);
         }
     }
 

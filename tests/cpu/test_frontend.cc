@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "branch/gshare.hh"
+#include "common/serialize.hh"
 #include "compiler/scheduler.hh"
 #include "cpu/frontend.hh"
 #include "isa/builder.hh"
@@ -213,6 +214,56 @@ TEST(FrontEnd, ColdIcacheDelaysReadiness)
     EXPECT_EQ(fe.head().readyAt,
               f.cfg.frontEndDepth + 145 - f.cfg.mem.l1i.latency);
     EXPECT_GT(fe.stats().icacheMissCycles, 0u);
+}
+
+TEST(FrontEnd, ReusedSlotSavesDefaultPrediction)
+{
+    // A branch group (leader 1, so its token is not the default) and
+    // then one-slot groups through a two-group queue: the ring has two
+    // slots, so the fourth group lands in the branch's old slot.
+    ProgramBuilder b("reuse");
+    b.movi(intReg(1), 0);
+    b.label("top");
+    b.br("top");
+    b.pred(predReg(1)); // never set: predicted and resolved not taken
+    for (int i = 0; i < 6; ++i)
+        b.addi(intReg(2), intReg(2), 1);
+    b.halt();
+    Fixture f(b.finalize());
+    f.cfg.fetchQueueGroups = 2;
+    FrontEnd fe(f.prog, f.cfg, f.pred, f.hier,
+                memory::Initiator::kBaseline);
+    fe.tick(0);
+    fe.tick(1);
+    fe.pop();
+    ASSERT_TRUE(fe.head().hasBranch);
+    ASSERT_NE(fe.head().prediction.index, 0u);
+    fe.pop();
+    fe.tick(2);
+    fe.tick(3);
+
+    serial::Writer w;
+    fe.save(w);
+    serial::Reader r(w.buffer());
+    ASSERT_EQ(r.u64(), 2u);
+    for (InstIdx leader = 2; leader < 4; ++leader) {
+        EXPECT_EQ(r.u32(), leader);
+        EXPECT_EQ(r.u32(), leader + 1); // end
+        r.u64();                        // readyAt
+        EXPECT_FALSE(r.boolean()) << "hasBranch of group " << leader;
+        EXPECT_FALSE(r.boolean()) << "predictedTaken of group " << leader;
+        EXPECT_EQ(r.u32(), leader + 1); // predictedNext
+        // The token's encoding, member by member, must be the default.
+        EXPECT_FALSE(r.boolean()) << "taken of group " << leader;
+        EXPECT_EQ(r.u32(), 0u) << "index of group " << leader;
+        EXPECT_EQ(r.u64(), 0u) << "historyBefore of group " << leader;
+        EXPECT_EQ(r.u32(), 0u) << "index2 of group " << leader;
+        EXPECT_EQ(r.u32(), 0u) << "chooserIndex of group " << leader;
+        EXPECT_FALSE(r.boolean()) << "component1Taken of group " << leader;
+        EXPECT_FALSE(r.boolean()) << "component2Taken of group " << leader;
+        EXPECT_FALSE(r.boolean()) << "usedComponent2 of group " << leader;
+    }
+    EXPECT_TRUE(r.ok());
 }
 
 TEST(FrontEnd, NextEventIsFetchResumeOrHeadReady)

@@ -265,6 +265,46 @@ TEST(SparseMemory, RestoreRejectsMalformedPageTables)
         << "base address overflows 64 bits";
 }
 
+TEST(SparseMemory, InPageAccessesMatchBytewise)
+{
+    // Every size at every offset from 12 bytes below a page boundary
+    // to 4 above it: in-page, straddling and in the next page. read()
+    // and write() must agree with their byte-by-byte composition,
+    // neighbours included, so a copy of the wrong width shows.
+    const Addr boundary = 5 * SparseMemory::kPageBytes;
+    const Addr lo = boundary - 16;
+    const Addr hi = boundary + 16;
+    for (unsigned size = 1; size <= 8; ++size) {
+        for (Addr a = boundary - 12; a <= boundary + 4; ++a) {
+            const std::uint64_t v =
+                0x8877665544332211ULL ^ (a * 0x9E3779B97F4A7C15ULL);
+            SparseMemory wide;
+            SparseMemory bytewise;
+            for (Addr x = lo; x < hi; ++x) {
+                wide.writeByte(x, 0xA5);
+                bytewise.writeByte(x, 0xA5);
+            }
+            wide.write(a, v, size);
+            for (unsigned i = 0; i < size; ++i) {
+                bytewise.writeByte(
+                    a + i, static_cast<std::uint8_t>(v >> (8 * i)));
+            }
+            for (Addr x = lo; x < hi; ++x) {
+                ASSERT_EQ(wide.readByte(x), bytewise.readByte(x))
+                    << "size " << size << " at " << a << ", byte " << x;
+            }
+            std::uint64_t expect = 0;
+            for (unsigned i = 0; i < size; ++i) {
+                expect |= static_cast<std::uint64_t>(
+                              bytewise.readByte(a + i))
+                          << (8 * i);
+            }
+            EXPECT_EQ(bytewise.read(a, size), expect)
+                << "size " << size << " at " << a;
+        }
+    }
+}
+
 TEST(SparseMemoryDeathTest, OversizedAccessPanics)
 {
     SparseMemory m;

@@ -48,6 +48,48 @@ makeEntry(DynId id, InstIdx idx)
     return e;
 }
 
+/** A branch entry carrying a token unlike the default one. */
+CqEntry
+makeBranchEntry(DynId id, InstIdx idx)
+{
+    CqEntry e = makeEntry(id, idx);
+    e.isLoad = false;
+    e.isStore = false;
+    e.isBranch = true;
+    e.predictedTaken = true;
+    e.prediction.taken = true;
+    e.prediction.index = 0x155;
+    e.prediction.historyBefore = 0x2aa;
+    e.prediction.index2 = 7;
+    e.prediction.chooserIndex = 9;
+    e.prediction.component1Taken = true;
+    e.prediction.usedComponent2 = true;
+    return e;
+}
+
+void
+expectSamePrediction(const branch::Prediction &a,
+                     const branch::Prediction &b)
+{
+    EXPECT_EQ(a.taken, b.taken);
+    EXPECT_EQ(a.index, b.index);
+    EXPECT_EQ(a.historyBefore, b.historyBefore);
+    EXPECT_EQ(a.index2, b.index2);
+    EXPECT_EQ(a.chooserIndex, b.chooserIndex);
+    EXPECT_EQ(a.component1Taken, b.component1Taken);
+    EXPECT_EQ(a.component2Taken, b.component2Taken);
+    EXPECT_EQ(a.usedComponent2, b.usedComponent2);
+}
+
+/** The bytes save() writes for @p cq. */
+std::vector<std::uint8_t>
+saved(const CouplingQueue &cq)
+{
+    serial::Writer w;
+    cq.save(w);
+    return w.buffer();
+}
+
 void
 expectSameEntry(const CqEntry &a, const CqEntry &b)
 {
@@ -148,6 +190,90 @@ TEST(CouplingQueueSoA, RestoreRejectsForeignCapacity)
     serial::Reader r(w.buffer());
     other.restore(r);
     EXPECT_FALSE(r.ok());
+}
+
+TEST(CouplingQueueSoA, NonPowerOfTwoCapacityWrapsInOrder)
+{
+    // Capacity 6: full at 6 entries whatever the arrays' length, and
+    // four pops then four pushes carry the tail past the wrap.
+    CouplingQueue cq(6);
+    for (DynId id = 1; id <= 6; ++id)
+        cq.push(makeEntry(id, static_cast<InstIdx>(id)));
+    EXPECT_TRUE(cq.full());
+    EXPECT_EQ(cq.freeSlots(), 0u);
+    EXPECT_EQ(cq.capacity(), 6u);
+    for (int k = 0; k < 4; ++k)
+        cq.pop();
+    EXPECT_EQ(cq.freeSlots(), 4u);
+    for (DynId id = 7; id <= 10; ++id)
+        cq.push(makeEntry(id, static_cast<InstIdx>(id)));
+    ASSERT_TRUE(cq.full());
+    for (std::size_t i = 0; i < 6; ++i) {
+        EXPECT_EQ(cq.id(i), static_cast<DynId>(5 + i));
+        expectSameEntry(cq.entry(i),
+                        makeEntry(5 + i, static_cast<InstIdx>(5 + i)));
+    }
+
+    // The wrapped queue encodes as one filled in logical order.
+    CouplingQueue rebuilt(6);
+    for (DynId id = 5; id <= 10; ++id)
+        rebuilt.push(makeEntry(id, static_cast<InstIdx>(id)));
+    const std::vector<std::uint8_t> bytes = saved(cq);
+    EXPECT_EQ(bytes, saved(rebuilt));
+    EXPECT_EQ(cq.deferredStores(), rebuilt.deferredStores());
+
+    CouplingQueue back(6);
+    serial::Reader r(bytes);
+    back.restore(r);
+    ASSERT_TRUE(r.ok());
+    EXPECT_EQ(saved(back), bytes);
+
+    // A queue of another capacity, power of two or not, rejects it.
+    CouplingQueue eight(8);
+    serial::Reader r8(bytes);
+    eight.restore(r8);
+    EXPECT_FALSE(r8.ok());
+    const std::vector<std::uint8_t> eight_bytes = saved(eight);
+    CouplingQueue six(6);
+    serial::Reader r6(eight_bytes);
+    six.restore(r6);
+    EXPECT_FALSE(r6.ok());
+}
+
+TEST(CouplingQueueSoA, PredictionIsKeptForBranchEntries)
+{
+    CouplingQueue cq(4);
+    const CqEntry e = makeBranchEntry(1, 1);
+    cq.push(e);
+    expectSamePrediction(cq.entry(0).prediction, e.prediction);
+    expectSamePrediction(cq.prediction(0), e.prediction);
+
+    const std::vector<std::uint8_t> bytes = saved(cq);
+    CouplingQueue back(4);
+    serial::Reader r(bytes);
+    back.restore(r);
+    ASSERT_TRUE(r.ok());
+    expectSamePrediction(back.entry(0).prediction, e.prediction);
+    EXPECT_EQ(saved(back), bytes);
+}
+
+TEST(CouplingQueueSoA, ReusedSlotHasNoStalePrediction)
+{
+    // Capacity 2: the branch fills slot 0 and leaves; the third push
+    // wraps a non-branch entry into that slot.
+    CouplingQueue cq(2);
+    cq.push(makeBranchEntry(1, 1));
+    cq.pop();
+    cq.push(makeEntry(2, 2));
+    cq.push(makeEntry(3, 3));
+    ASSERT_EQ(cq.size(), 2u);
+    expectSamePrediction(cq.entry(1).prediction, branch::Prediction{});
+
+    // It saves the bytes of a queue that never held the branch.
+    CouplingQueue fresh(2);
+    fresh.push(makeEntry(2, 2));
+    fresh.push(makeEntry(3, 3));
+    EXPECT_EQ(saved(cq), saved(fresh));
 }
 
 TEST(ScoreboardSoA, BusySupersetSurvivesRestore)
